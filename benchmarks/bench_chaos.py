@@ -10,7 +10,7 @@ re-run the same seed.
 """
 
 from repro.perf import format_table
-from repro.resilience.chaos import make_case, run_soak
+from repro.resilience.chaos import make_case, run_case
 
 from .conftest import banner, record
 
@@ -22,7 +22,7 @@ def test_chaos_soak_bit_exact(benchmark):
              for seed in SEEDS]
 
     def soak():
-        return run_soak(SEEDS, ranks=4, grid=20, steps=6, dim_t=2)
+        return [run_case(case) for case in cases]
 
     results = benchmark.pedantic(soak, rounds=1, iterations=1)
     print(banner("Chaos soak: 4 ranks, 20^3 x 6 steps, randomized faults"))

@@ -1003,219 +1003,142 @@ def _cmd_faults() -> int:
     return 0
 
 
+def _chaos_target(args) -> dict:
+    """The ``repro chaos`` row for ``args.target``: what the one seed loop
+    needs to know about a soak (imported lazily, one target per run)."""
+    from functools import partial
+
+    if args.target == "serve":
+        from repro.serve.chaos import (
+            SERVE_SCHEDULES,
+            make_serve_case,
+            run_serve_case,
+        )
+
+        return {
+            "grid": 12, "schedules": SERVE_SCHEDULES, "counts": ("seeds",),
+            "header": f"serve soak   : {args.seeds} seed(s), {args.jobs} "
+                      "jobs of ",
+            "make": partial(make_serve_case, jobs=args.jobs),
+            "run": run_serve_case,
+            "detail": lambda r: (
+                f"{r.accepted} accepted, {r.refused} refused, "
+                f"{r.completed} done, {r.degraded} degraded, "
+                f"{r.failed} failed, {r.recovered} recovered, "
+                f"{r.quarantined_records} quarantined"
+            ),
+            "problems": lambda r: [line for line in (
+                r.error,
+                r.hash_mismatches and f"{r.hash_mismatches} completed "
+                "job(s) differ from the fault-free reference",
+                r.non_terminal and f"{r.non_terminal} accepted job(s) "
+                "never reached a terminal status",
+            ) if line],
+            "bundle": "serve-seed",
+            "clean": "clean (no silent loss, completed jobs bit-exact)",
+        }
+    if args.target == "sdc":
+        from repro.resilience.sdc import (
+            SDC_SCHEDULES,
+            make_sdc_case,
+            run_sdc_case,
+        )
+
+        bitrot = {None: "", True: ", bitrot refused", False: ", BITROT TRUSTED"}
+        return {
+            "grid": 20, "schedules": SDC_SCHEDULES, "counts": ("seeds",),
+            "header": f"sdc soak     : {args.seeds} seed(s), tier "
+                      f"{args.tier}, ",
+            "make": partial(make_sdc_case, tier=args.tier),
+            "run": run_sdc_case,
+            "detail": lambda r: (
+                f"{r.flips_fired} flip(s), {r.detections} detected, "
+                f"{r.heals} healed, {r.replayed_cells} cells replayed, "
+                f"{r.checks} checks{bitrot[r.bitrot_detected]}"
+            ),
+            "problems": _bit_exact_problems,
+            "bundle": "sdc-seed",
+            "clean": "clean (every flip detected, healed runs bit-exact)",
+        }
+    from repro.resilience.chaos import SCHEDULES, make_case, run_case
+
+    return {
+        "grid": 24, "schedules": SCHEDULES, "counts": ("seeds", "ranks"),
+        "header": f"chaos soak   : {args.seeds} seed(s), {args.ranks} "
+                  "ranks, ",
+        "make": partial(make_case, ranks=args.ranks),
+        "run": partial(run_case, trace=args.bundle is not None),
+        "detail": lambda r: (
+            f"{r.recoveries} recoveries, {r.comm_retries} retries, "
+            f"{r.comm_dropped} dropped, {r.comm_corrupted} corrupted, "
+            f"{r.comm_delayed} delayed"
+        ),
+        "problems": _bit_exact_problems,
+        "bundle": "seed",
+        "clean": "bit-exact",
+    }
+
+
+def _bit_exact_problems(result) -> list[str]:
+    """Failure lines of a soak judged bit-exact against a naive oracle."""
+    if result.error:
+        return [result.error]
+    if not result.bit_exact:
+        return ["result differs from the fault-free reference"]
+    return []
+
+
 def _cmd_chaos(args) -> int:
     """Exit codes: 0 all seeds green, 2 usage error, 4 any seed red."""
-    if args.target == "serve":
-        return _cmd_chaos_serve(args)
-    if args.target == "sdc":
-        return _cmd_chaos_sdc(args)
-    from repro.resilience.chaos import (
-        SCHEDULES,
-        make_case,
-        run_case,
-        write_bundle,
-    )
+    from repro.obs import TRACE
+    from repro.resilience.chaos import write_bundle
 
+    target = _chaos_target(args)
     if args.grid is None:
-        args.grid = 24
+        args.grid = target["grid"]
+    known = target["schedules"]
     schedules = tuple(
         s.strip()
-        for s in (args.schedules or ",".join(SCHEDULES)).split(",")
+        for s in (args.schedules or ",".join(known)).split(",")
         if s.strip()
     )
-    unknown = set(schedules) - set(SCHEDULES)
+    unknown = set(schedules) - set(known)
     if unknown:
         print(
             f"error: unknown schedule(s) {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(SCHEDULES)}",
+            f"known: {', '.join(known)}",
             file=sys.stderr,
         )
         return 2
-    if args.seeds < 1 or args.ranks < 1:
-        print("error: --seeds and --ranks must be >= 1", file=sys.stderr)
+    counts = target["counts"]
+    if any(getattr(args, c) < 1 for c in counts):
+        flags = " and ".join(f"--{c}" for c in counts)
+        print(f"error: {flags} must be >= 1", file=sys.stderr)
         return 2
 
-    seeds = range(args.seed_base, args.seed_base + args.seeds)
-    print(f"chaos soak   : {args.seeds} seed(s), {args.ranks} ranks, "
-          f"{args.grid}^3 x {args.steps} steps (dim_T={args.dim_t})")
+    print(f"{target['header']}{args.grid}^3 x {args.steps} steps "
+          f"(dim_T={args.dim_t})")
     print(f"schedules    : {', '.join(schedules)}")
     failures = 0
-    for seed in seeds:
-        case = make_case(
-            seed, ranks=args.ranks, grid=args.grid, steps=args.steps,
-            dim_t=args.dim_t, schedules=schedules,
-        )
-        result = run_case(case, trace=args.bundle is not None)
+    for seed in range(args.seed_base, args.seed_base + args.seeds):
+        case = target["make"](seed, grid=args.grid, steps=args.steps,
+                              dim_t=args.dim_t, schedules=schedules)
+        result = target["run"](case)
         status = "ok" if result.ok else "FAIL"
-        detail = (
-            f"{result.recoveries} recoveries, "
-            f"{result.comm_retries} retries, "
-            f"{result.comm_dropped} dropped, "
-            f"{result.comm_corrupted} corrupted, "
-            f"{result.comm_delayed} delayed"
-        )
-        print(f"seed {seed:<4}    : {status} ({detail}) [{case.describe()}]")
+        print(f"seed {seed:<4}    : {status} ({target['detail'](result)}) "
+              f"[{case.describe()}]")
         if not result.ok:
             failures += 1
-            if result.error:
-                print(f"             ! {result.error}")
-            if not result.bit_exact and result.error is None:
-                print("             ! result differs from the fault-free "
-                      "reference")
+            for line in target["problems"](result):
+                print(f"             ! {line}")
             if args.bundle:
-                bundle = write_bundle(result, args.bundle)
+                bundle = write_bundle(result, args.bundle, target["bundle"])
                 print(f"             ! repro bundle: {bundle}")
-        from repro.obs import TRACE
-
         TRACE.disarm()
     if failures:
         print(f"verdict      : {failures}/{args.seeds} seed(s) FAILED")
         return 4
-    print(f"verdict      : all {args.seeds} seed(s) bit-exact")
-    return 0
-
-
-def _cmd_chaos_serve(args) -> int:
-    """Serve-daemon soak: accepted jobs terminal, completed jobs bit-exact."""
-    import json
-
-    from pathlib import Path
-
-    from repro.serve.chaos import (
-        SERVE_SCHEDULES,
-        make_serve_case,
-        run_serve_case,
-    )
-
-    if args.grid is None:
-        args.grid = 12
-    schedules = tuple(
-        s.strip()
-        for s in (args.schedules or ",".join(SERVE_SCHEDULES)).split(",")
-        if s.strip()
-    )
-    unknown = set(schedules) - set(SERVE_SCHEDULES)
-    if unknown:
-        print(
-            f"error: unknown schedule(s) {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(SERVE_SCHEDULES)}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.seeds < 1:
-        print("error: --seeds must be >= 1", file=sys.stderr)
-        return 2
-
-    seeds = range(args.seed_base, args.seed_base + args.seeds)
-    print(f"serve soak   : {args.seeds} seed(s), {args.jobs} jobs of "
-          f"{args.grid}^3 x {args.steps} steps (dim_T={args.dim_t})")
-    print(f"schedules    : {', '.join(schedules)}")
-    failures = 0
-    for seed in seeds:
-        case = make_serve_case(
-            seed, jobs=args.jobs, grid=args.grid, steps=args.steps,
-            dim_t=args.dim_t, schedules=schedules,
-        )
-        result = run_serve_case(case)
-        status = "ok" if result.ok else "FAIL"
-        detail = (
-            f"{result.accepted} accepted, {result.refused} refused, "
-            f"{result.completed} done, {result.degraded} degraded, "
-            f"{result.failed} failed, {result.recovered} recovered, "
-            f"{result.quarantined_records} quarantined"
-        )
-        print(f"seed {seed:<4}    : {status} ({detail}) [{case.describe()}]")
-        if not result.ok:
-            failures += 1
-            if result.error:
-                print(f"             ! {result.error}")
-            if result.hash_mismatches:
-                print(f"             ! {result.hash_mismatches} completed "
-                      "job(s) differ from the fault-free reference")
-            if result.non_terminal:
-                print(f"             ! {result.non_terminal} accepted job(s) "
-                      "never reached a terminal status")
-            if args.bundle:
-                bundle = Path(args.bundle) / f"serve-seed-{seed}"
-                bundle.mkdir(parents=True, exist_ok=True)
-                with open(bundle / "case.json", "w", encoding="utf-8") as fh:
-                    json.dump(result.to_dict(), fh, indent=2)
-                    fh.write("\n")
-                with open(bundle / "faults.txt", "w", encoding="utf-8") as fh:
-                    fh.write(",".join(case.specs) + "\n")
-                print(f"             ! repro bundle: {bundle}")
-    if failures:
-        print(f"verdict      : {failures}/{args.seeds} seed(s) FAILED")
-        return 4
-    print(f"verdict      : all {args.seeds} seed(s) clean "
-          "(no silent loss, completed jobs bit-exact)")
-    return 0
-
-
-def _cmd_chaos_sdc(args) -> int:
-    """SDC soak: no silent corruption — every healed run bit-exact."""
-    from repro.resilience.sdc import (
-        SDC_SCHEDULES,
-        make_sdc_case,
-        run_sdc_case,
-        write_sdc_bundle,
-    )
-
-    if args.grid is None:
-        args.grid = 20
-    schedules = tuple(
-        s.strip()
-        for s in (args.schedules or ",".join(SDC_SCHEDULES)).split(",")
-        if s.strip()
-    )
-    unknown = set(schedules) - set(SDC_SCHEDULES)
-    if unknown:
-        print(
-            f"error: unknown schedule(s) {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(SDC_SCHEDULES)}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.seeds < 1:
-        print("error: --seeds must be >= 1", file=sys.stderr)
-        return 2
-
-    seeds = range(args.seed_base, args.seed_base + args.seeds)
-    print(f"sdc soak     : {args.seeds} seed(s), tier {args.tier}, "
-          f"{args.grid}^3 x {args.steps} steps (dim_T={args.dim_t})")
-    print(f"schedules    : {', '.join(schedules)}")
-    failures = 0
-    for seed in seeds:
-        case = make_sdc_case(
-            seed, grid=args.grid, steps=args.steps, dim_t=args.dim_t,
-            tier=args.tier, schedules=schedules,
-        )
-        result = run_sdc_case(case)
-        status = "ok" if result.ok else "FAIL"
-        detail = (
-            f"{result.flips_fired} flip(s), {result.detections} detected, "
-            f"{result.heals} healed, {result.replayed_cells} cells replayed, "
-            f"{result.checks} checks"
-        )
-        if result.bitrot_detected is not None:
-            detail += (", bitrot refused" if result.bitrot_detected
-                       else ", BITROT TRUSTED")
-        print(f"seed {seed:<4}    : {status} ({detail}) [{case.describe()}]")
-        if not result.ok:
-            failures += 1
-            if result.error:
-                print(f"             ! {result.error}")
-            if not result.bit_exact and result.error is None:
-                print("             ! result differs from the fault-free "
-                      "reference")
-            if args.bundle:
-                bundle = write_sdc_bundle(result, args.bundle)
-                print(f"             ! repro bundle: {bundle}")
-    if failures:
-        print(f"verdict      : {failures}/{args.seeds} seed(s) FAILED")
-        return 4
-    print(f"verdict      : all {args.seeds} seed(s) clean "
-          "(every flip detected, healed runs bit-exact)")
+    print(f"verdict      : all {args.seeds} seed(s) {target['clean']}")
     return 0
 
 

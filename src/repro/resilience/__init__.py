@@ -39,7 +39,6 @@ from .chaos import (
     ChaosResult,
     make_case,
     run_case,
-    run_soak,
     write_bundle,
 )
 from .checkpoint import (
@@ -98,8 +97,6 @@ from .sdc import (
     plane_crcs,
     rot_file,
     run_sdc_case,
-    run_sdc_soak,
-    write_sdc_bundle,
 )
 from .watchdog import (
     GuardedSweep,
@@ -167,8 +164,5 @@ __all__ = [
     "rot_file",
     "run_case",
     "run_sdc_case",
-    "run_sdc_soak",
-    "run_soak",
     "write_bundle",
-    "write_sdc_bundle",
 ]

@@ -11,9 +11,9 @@ a fault-free naive reference.  Every seed is a complete repro recipe: the
 same seed always produces the same schedule, the same recovery sequence,
 and the same (correct) bits.
 
-Entry points: :func:`make_case` (seed -> schedule), :func:`run_case`
-(one soak iteration), :func:`run_soak` (the multi-seed loop used by
-``repro chaos`` and ``benchmarks/bench_chaos.py``).  A failing case can be
+Entry points: :func:`make_case` (seed -> schedule) and :func:`run_case`
+(one soak iteration); ``repro chaos`` loops them over seeds, for this
+target and the serve and SDC ones.  A failing case of any soak can be
 dumped as a **repro bundle** (fault specs + trace JSON + case metadata)
 via :func:`write_bundle` — the artifact CI uploads so a red soak is
 debuggable offline.
@@ -36,7 +36,6 @@ __all__ = [
     "ChaosResult",
     "make_case",
     "run_case",
-    "run_soak",
     "write_bundle",
 ]
 
@@ -90,9 +89,7 @@ class ChaosResult:
     elapsed_s: float
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["case"] = asdict(self.case)
-        return doc
+        return asdict(self)  # recurses into the case
 
 
 def make_case(
@@ -206,42 +203,21 @@ def run_case(case: ChaosCase, *, trace: bool = False) -> ChaosResult:
     )
 
 
-def run_soak(
-    seeds,
-    *,
-    ranks: int = 4,
-    grid: int = 24,
-    steps: int = 6,
-    dim_t: int = 2,
-    schedules: tuple[str, ...] = SCHEDULES,
-    trace: bool = False,
-) -> list[ChaosResult]:
-    """Run one :func:`run_case` per seed; never raises on a red case —
-    the caller inspects ``result.ok`` (and bundles the failures)."""
-    return [
-        run_case(
-            make_case(
-                seed, ranks=ranks, grid=grid, steps=steps, dim_t=dim_t,
-                schedules=schedules,
-            ),
-            trace=trace,
-        )
-        for seed in seeds
-    ]
-
-
-def write_bundle(result: ChaosResult, directory) -> Path:
+def write_bundle(result, directory, prefix: str = "seed") -> Path:
     """Dump a failing seed's repro bundle; returns the bundle directory.
 
-    Contents: ``case.json`` (the full result, including the fault specs
-    that reproduce the failure), ``faults.txt`` (the ``$REPRO_FAULTS``
-    value to re-arm the schedule by hand), and — when the tracer was armed
+    Serves every soak (distributed, serve, SDC): ``result`` is any soak
+    result with ``to_dict()`` and a ``case`` carrying ``seed`` and
+    ``specs``; the bundle is ``<directory>/<prefix>-<seed>``.  Contents:
+    ``case.json`` (the full result, including the fault specs that
+    reproduce the failure), ``faults.txt`` (the ``$REPRO_FAULTS`` value
+    to re-arm the schedule by hand), and — when the tracer was armed
     during the run — ``trace.json`` with the recovery spans.
     """
     from ..obs.export import write_chrome_trace
     from ..obs.trace import TRACE
 
-    bundle = Path(directory) / f"seed-{result.case.seed}"
+    bundle = Path(directory) / f"{prefix}-{result.case.seed}"
     bundle.mkdir(parents=True, exist_ok=True)
     with open(bundle / "case.json", "w", encoding="utf-8") as fh:
         json.dump(result.to_dict(), fh, indent=2)

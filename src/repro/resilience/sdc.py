@@ -18,7 +18,8 @@ boundaries are exact at any depth — the constant shell never shrinks, see
 * a plane corrupted at applied-step ``t`` and detected at ``t' >= t`` is
   reproducible from any trusted base at ``t0 <= t`` by replaying the
   plane's cone: the detected planes grown by ``R * (t' - t0)`` per cut
-  side, clipped to the grid — :func:`repro.core.regions.loaded_extent`;
+  side, clipped to the grid — :func:`repro.core.regions.loaded_extent` —
+  and widened to the ``2R + 1`` planes the smallest sweep needs;
 * the replay may use *any* rung of the bit-exact fallback ladder; this
   module uses the naive reference sweep (the ladder's bottom rung and the
   strongest oracle), so a healed grid is bit-identical to fault-free.
@@ -45,15 +46,15 @@ Integrity tiers (``JobSpec.integrity`` / ``repro run --verify``):
 
 The ``memory.flip`` fault site injects flips (``site=rank:round`` detail
 grammar, budget = bit count); ``disk.bitrot`` rots a checkpoint payload
-after it is fsynced.  :func:`run_sdc_soak` drives seeded flip/bitrot
-schedules through a guarded run and judges *no silent corruption*: every
+after it is fsynced.  :func:`run_sdc_case` drives a seeded flip/bitrot
+schedule through a guarded run (``repro chaos --target sdc`` loops it
+over seeds) and judges *no silent corruption*: every
 in-window flip detected, every healed run bit-identical to the fault-free
 oracle.
 """
 
 from __future__ import annotations
 
-import json
 import time
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -85,8 +86,6 @@ __all__ = [
     "plane_crcs",
     "rot_file",
     "run_sdc_case",
-    "run_sdc_soak",
-    "write_sdc_bundle",
 ]
 
 #: the integrity ladder, weakest to strongest
@@ -263,9 +262,10 @@ class SdcReport:
 # ----------------------------------------------------------------------
 
 class SdcGuard:
-    """Per-run SDC detector/healer shared by GuardedSweep and the serve path.
+    """Per-run SDC detector/healer driven by GuardedSweep and the
+    distributed driver (serve's ``verify`` is one more ``check_round``).
 
-    The caller owns the trusted base (its last checkpointed
+    The caller owns the trusted base (its last verified
     ``(good_state, good_done)`` pair — which by construction is refreshed
     *before* any corruption window opens) and drives three hooks per
     round:
@@ -415,13 +415,23 @@ class SdcGuard:
         picked = rng.choice(len(bands), size=take, replace=False)
         return [bands[i] for i in sorted(int(i) for i in picked)]
 
+    def _extent(self, core: tuple[int, int], nz: int, s: int):
+        """The planes a replay of ``core`` over ``s`` steps loads: its
+        propagation cone (:func:`loaded_extent`), widened inside the grid
+        to the ``2R + 1`` planes the smallest sweep needs — a one-plane
+        edge band replayed for one step would otherwise be too thin."""
+        r = self.kernel.radius
+        e0, e1 = loaded_extent(core, nz, r * s)
+        e1 = min(nz, max(e1, e0 + 2 * r + 1))
+        e0 = max(0, min(e0, e1 - (2 * r + 1)))
+        return e0, e1
+
     def _replay(
         self, good: Field3D, core: tuple[int, int], s: int, nz: int
     ) -> tuple[Field3D, int]:
         """Re-derive ``core``'s planes from the trusted base via the naive
         rung; returns (replayed sub-field, its global z offset)."""
-        h = self.kernel.radius * s
-        e0, e1 = loaded_extent(core, nz, h)
+        e0, e1 = self._extent(core, nz, s)
         sub = Field3D(np.ascontiguousarray(good.data[:, e0:e1]))
         out = run_naive(self.kernel.restricted_to(e0, e1), sub, s)
         self.report.verified_cells += (
@@ -473,8 +483,7 @@ class SdcGuard:
             )
         nz, ny, nx = state.shape
         z0, z1 = min(planes), max(planes) + 1
-        h = self.kernel.radius * s
-        e0, e1 = loaded_extent((z0, z1), nz, h)
+        e0, e1 = self._extent((z0, z1), nz, s) if s else (z0, z1)
         with TRACE.span(
             "sdc_heal", step=done, planes=len(planes), z0=z0, z1=z1,
             extent=e1 - e0, replay_steps=s,
@@ -564,9 +573,7 @@ class SdcChaosResult:
     elapsed_s: float
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["case"] = asdict(self.case)
-        return doc
+        return asdict(self)  # recurses into the case
 
 
 def make_sdc_case(
@@ -710,35 +717,3 @@ def run_sdc_case(case: SdcChaosCase) -> SdcChaosResult:
         elapsed_s=elapsed,
     )
 
-
-def run_sdc_soak(
-    seeds,
-    *,
-    grid: int = 20,
-    steps: int = 8,
-    dim_t: int = 2,
-    tier: str = "full",
-    schedules: tuple[str, ...] = SDC_SCHEDULES,
-) -> list[SdcChaosResult]:
-    """One :func:`run_sdc_case` per seed; callers inspect ``result.ok``."""
-    return [
-        run_sdc_case(
-            make_sdc_case(
-                seed, grid=grid, steps=steps, dim_t=dim_t, tier=tier,
-                schedules=schedules,
-            )
-        )
-        for seed in seeds
-    ]
-
-
-def write_sdc_bundle(result: SdcChaosResult, directory) -> Path:
-    """Dump a failing seed's repro bundle (case.json + faults.txt)."""
-    bundle = Path(directory) / f"sdc-seed-{result.case.seed}"
-    bundle.mkdir(parents=True, exist_ok=True)
-    with open(bundle / "case.json", "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
-    with open(bundle / "faults.txt", "w", encoding="utf-8") as fh:
-        fh.write(",".join(result.case.specs) + "\n")
-    return bundle

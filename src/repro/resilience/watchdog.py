@@ -17,7 +17,12 @@ grid state of the previous one) and is what makes the guards possible:
   exception;
 * every ``checkpoint_every`` rounds the state is snapshotted atomically to
   a :class:`~repro.resilience.checkpoint.CheckpointStore`, and ``run``
-  resumes from a matching snapshot — the crash/restart path of long sweeps.
+  resumes from a matching snapshot — the crash/restart path of long sweeps;
+* a round boundary verifies the integrity seals *before* it asks the
+  ``stop`` hook, so an interrupt only ever checkpoints a verified grid.
+
+It is the one round driver of single-process sweeps: ``repro run``, the
+SDC soak and the serve daemon's workers (through ``stop`` and ``meter``).
 
 The ``grid.nan`` fault site fires here (poisoning one plane after a round)
 so every policy is testable without a genuinely unstable kernel.
@@ -30,6 +35,7 @@ import warnings
 
 import numpy as np
 
+from ..core.traffic import TrafficStats
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACE
 from .checkpoint import CheckpointError, CheckpointStore
@@ -38,13 +44,18 @@ from .report import RunReport
 from .sdc import SdcGuard, inject_flips
 
 __all__ = [
+    "ABANDON_STOPS",
     "GuardedSweep",
     "HealthCheckError",
     "HealthWarning",
     "SweepInterruptedError",
     "SweepRetriesExhaustedError",
     "grid_is_finite",
+    "metered",
 ]
+
+#: stop reasons that abandon the run: no final checkpoint is written
+ABANDON_STOPS = ("cancel", "deadline", "kill")
 
 
 class HealthCheckError(ResilienceError):
@@ -61,19 +72,22 @@ class SweepRetriesExhaustedError(ResilienceError):
 
 
 class SweepInterruptedError(ResilienceError):
-    """The sweep stopped cooperatively at a round boundary (``stop`` set).
+    """The sweep stopped cooperatively at a round boundary (``stop`` hook).
 
     Raised only between rounds, so the carried ``state`` is a complete,
     consistent grid at ``step`` applied time steps — resuming the remaining
     ``steps - step`` rounds from it is bit-identical to the uninterrupted
-    run.  When the sweep has a checkpoint store, a final snapshot of that
-    state is written before this is raised.
+    run.  ``reason`` is what the ``stop`` hook returned.  With a checkpoint
+    store, unless the reason is in :data:`ABANDON_STOPS`, a final snapshot
+    of that state is written before this is raised.
     """
 
-    def __init__(self, step: int, state=None, checkpointed: bool = False):
+    def __init__(self, step: int, state=None, checkpointed: bool = False,
+                 reason: str = "interrupt"):
         self.step = step
         self.state = state
         self.checkpointed = checkpointed
+        self.reason = reason
         suffix = "; final checkpoint written" if checkpointed else ""
         super().__init__(
             f"sweep interrupted at a round boundary after {step} step(s)"
@@ -86,6 +100,19 @@ def grid_is_finite(data: np.ndarray) -> bool:
     if not np.issubdtype(data.dtype, np.floating):
         return True
     return bool(np.isfinite(data).all())
+
+
+def metered(meter, phase: str, info: dict, fn, *args):
+    """``fn(*args)``, then (also when it raises: the work was done)
+    ``meter(phase, wall_t0_ns, elapsed_ns, **info)`` if a meter is set."""
+    if meter is None:
+        return fn(*args)
+    w0 = time.time_ns()
+    t0 = time.perf_counter_ns()
+    try:
+        return fn(*args)
+    finally:
+        meter(phase, w0, time.perf_counter_ns() - t0, **info)
 
 
 class GuardedSweep:
@@ -109,7 +136,9 @@ class GuardedSweep:
         bands sampled per round, and the surgical-heal budget.  An
         active tier CRC-seals the grid after every round, verifies the
         seals at the next round boundary, re-executes Z bands from the
-        last trusted state through the naive reference rung, and heals
+        last trusted state (refreshed after every verified round but the
+        last, whatever the checkpoint period) through the naive reference
+        rung, and heals
         detected corruption by replaying only its propagation cone.
         The ``memory.flip`` fault site fires here (after sealing, so
         flips are *resting* corruption the next verify must catch).
@@ -128,13 +157,18 @@ class GuardedSweep:
     report:
         A :class:`RunReport` accumulating degradations/retries/repairs.
     stop:
-        Optional ``threading.Event``-like object (anything with
-        ``is_set()``).  Checked at every round boundary; when set, the
-        sweep writes a final checkpoint (if a store is configured) and
-        raises :class:`SweepInterruptedError` carrying the consistent
-        state — the cooperative-cancellation hook behind graceful
-        SIGINT/SIGTERM in ``repro run`` and job preemption in the serve
-        daemon.
+        Optional round-boundary hook: a ``threading.Event``-like object
+        (a set event reads as reason ``"interrupt"``) or a callable
+        returning a stop reason or a falsy value.  Asked after the seals
+        are verified; on a reason the sweep writes a final checkpoint
+        (with a store, unless the reason is in :data:`ABANDON_STOPS`) and
+        raises :class:`SweepInterruptedError` — graceful SIGINT/SIGTERM in
+        ``repro run``; cancel, deadline, preemption and kill in serve.
+    meter:
+        Optional ``meter(phase, wall_t0_ns, elapsed_ns, **info)`` (see
+        :func:`metered`), after every ``"round"`` (info: ``steps``,
+        ``done``, and the round's own ``traffic``) and ``"sdc_check"``
+        (info: ``sdc``, the guard's report) phase.
     sleep:
         Injection point for the backoff clock (tests pass a no-op).
     """
@@ -153,6 +187,7 @@ class GuardedSweep:
         meta: dict | None = None,
         report: RunReport | None = None,
         stop=None,
+        meter=None,
         sleep=time.sleep,
         sdc: str = "off",
         sdc_seed: int = 0,
@@ -182,7 +217,8 @@ class GuardedSweep:
         self.checkpoint_every = checkpoint_every
         self.meta = dict(meta or {})
         self.report = report if report is not None else RunReport()
-        self.stop = stop
+        self._stop = getattr(stop, "is_set", stop)
+        self.meter = meter
         self._sleep = sleep
         self.sdc_seed = sdc_seed
         self.kernel = kernel if kernel is not None else getattr(
@@ -209,35 +245,54 @@ class GuardedSweep:
         """Advance ``field`` by ``steps`` under the configured guards."""
         if steps < 0:
             raise ValueError("steps must be >= 0")
+        if self.sdc is not None:
+            self.sdc.invalidate()  # an earlier run's seals describe another grid
         state, done = field, 0
         if resume:
             state, done = self._try_resume(field, steps)
         if steps == 0 or done >= steps:
             return state.copy()
 
-        # last verified-good (state, step) pair, for repair-from-checkpoint;
-        # refreshed at every checkpoint boundary (in memory even when no
-        # on-disk store is configured).
+        # last verified-good (state, step) pair: the SDC trusted base and
+        # the repair rollback target.  Refreshed (in memory even when no
+        # on-disk store is configured) after every verified round but the
+        # last with an active tier, else at every checkpoint boundary.
         good_state, good_done = state.copy(), done
         repairs_left = max(1, self.max_retries) if self.health == "repair" else 0
         rounds_since_snapshot = 0
         retries_before = self.report.retries
         repairs_before = self.report.repairs
         round_index = 0
+        sdc_info = {"sdc": self.sdc.report} if self.sdc is not None else {}
         with TRACE.span("guarded_run", steps=steps, health=self.health):
             while done < steps:
-                if self.stop is not None and self.stop.is_set():
-                    self._interrupt(state, done)
                 if self.sdc is not None:
                     # resting corruption since the last seal (the window the
                     # memory.flip probe below opens) heals here, *before*
-                    # this round consumes it
-                    state = self.sdc.verify_seals(
-                        state, done, good_state, good_done
+                    # this round consumes it or an interrupt checkpoints it
+                    state = metered(
+                        self.meter, "sdc_check", sdc_info,
+                        self.sdc.verify_seals, state, done, good_state,
+                        good_done,
+                    )
+                reason = self._stop() if self._stop is not None else None
+                if reason:
+                    self._interrupt(
+                        state, done, "interrupt" if reason is True else reason
                     )
                 round_t = min(self.round_steps, steps - done)
+                round_traffic = traffic
+                if self.meter is not None:
+                    round_traffic = TrafficStats()
                 with TRACE.span("guard_round", done=done, round_t=round_t):
-                    state = self._round_with_retry(state, round_t, traffic)
+                    state = metered(
+                        self.meter, "round",
+                        {"steps": round_t, "done": done + round_t,
+                         "traffic": round_traffic},
+                        self._round_with_retry, state, round_t, round_traffic,
+                    )
+                if traffic is not None and round_traffic is not traffic:
+                    traffic.merge(round_traffic)
                 done += round_t
                 self.report.rounds += 1
                 round_index += 1
@@ -257,13 +312,16 @@ class GuardedSweep:
                     # compute-side SDC: re-execute bands from the trusted
                     # base through the naive rung, then seal the verified
                     # grid for the next round's resting-corruption check
-                    state = self.sdc.check_round(
-                        state, done, good_state, good_done, round_index - 1
+                    state = metered(
+                        self.meter, "sdc_check", sdc_info,
+                        self._check_and_seal, state, done, good_state,
+                        good_done, round_index - 1,
                     )
-                    self.sdc.seal(state)
                 rounds_since_snapshot += 1
-                if rounds_since_snapshot >= self.checkpoint_every and done < steps:
+                snapshot = rounds_since_snapshot >= self.checkpoint_every
+                if done < steps and (snapshot or self.sdc is not None):
                     good_state, good_done = state.copy(), done
+                if done < steps and snapshot:
                     rounds_since_snapshot = 0
                     if self.checkpoint is not None:
                         self.checkpoint.save(state.data, done, self.meta)
@@ -272,8 +330,8 @@ class GuardedSweep:
                                     state.data.nbytes)
                 if self.sdc is not None:
                     # the memory.flip probe: resting bit flips land *after*
-                    # sealing and after the trusted base was refreshed, so
-                    # they are in-window for the next verify_seals
+                    # sealing and after the trusted base and checkpoint were
+                    # taken, so they are in-window for the next verify_seals
                     inject_flips(
                         state.data, rank=0, round_index=round_index - 1,
                         seed=self.sdc_seed,
@@ -281,8 +339,9 @@ class GuardedSweep:
             if self.sdc is not None:
                 # final verify: flips injected after the last round's seal
                 # stay in-window
-                state = self.sdc.verify_seals(
-                    state, done, good_state, good_done
+                state = metered(
+                    self.meter, "sdc_check", sdc_info,
+                    self.sdc.verify_seals, state, done, good_state, good_done,
                 )
         if METRICS.armed:
             METRICS.inc("resilience.retries",
@@ -294,15 +353,23 @@ class GuardedSweep:
         return state.copy()
 
     # ------------------------------------------------------------------
-    def _interrupt(self, state, done: int) -> None:
+    def _check_and_seal(self, state, done, good_state, good_done,
+                        round_index):
+        state = self.sdc.check_round(
+            state, done, good_state, good_done, round_index
+        )
+        self.sdc.seal(state)
+        return state
+
+    def _interrupt(self, state, done: int, reason: str) -> None:
         """Cooperative stop at a round boundary: final checkpoint, then raise."""
         checkpointed = False
-        if self.checkpoint is not None:
+        if self.checkpoint is not None and reason not in ABANDON_STOPS:
             self.checkpoint.save(state.data, done, self.meta)
             self.report.checkpoints_written += 1
             checkpointed = True
         raise SweepInterruptedError(
-            done, state=state.copy(), checkpointed=checkpointed
+            done, state=state.copy(), checkpointed=checkpointed, reason=reason
         )
 
     # ------------------------------------------------------------------

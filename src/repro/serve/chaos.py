@@ -10,9 +10,9 @@ worker stalls, journal tears, deadline storms, a mid-run hard kill with
 restart-and-recover), run a batch of jobs through a real
 :class:`~repro.serve.server.ServeCore` under it, and judge the wreckage.
 
-Entry points mirror the distributed soak: :func:`make_serve_case`,
-:func:`run_serve_case`, :func:`run_serve_soak`; ``repro chaos --target
-serve`` and the serve CI job drive them.
+Entry points mirror the distributed soak: :func:`make_serve_case` and
+:func:`run_serve_case`; ``repro chaos --target serve`` and the serve CI
+job drive them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "ServeChaosResult",
     "make_serve_case",
     "run_serve_case",
-    "run_serve_soak",
 ]
 
 #: every fault family the serve schedule generator knows how to draw
@@ -96,9 +95,7 @@ class ServeChaosResult:
     elapsed_s: float
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["case"] = asdict(self.case)
-        return doc
+        return asdict(self)  # recurses into the case
 
 
 def make_serve_case(
@@ -269,27 +266,3 @@ def run_serve_case(case: ServeChaosCase, *, timeout: float = 60.0) -> ServeChaos
         shutil.rmtree(state_dir, ignore_errors=True)
     return result
 
-
-def run_serve_soak(
-    seeds,
-    *,
-    jobs: int = 12,
-    grid: int = 12,
-    steps: int = 6,
-    dim_t: int = 2,
-    workers: int = 2,
-    queue_cap: int = 6,
-    schedules: tuple[str, ...] = SERVE_SCHEDULES,
-    timeout: float = 60.0,
-) -> list[ServeChaosResult]:
-    """One :func:`run_serve_case` per seed; callers inspect ``result.ok``."""
-    return [
-        run_serve_case(
-            make_serve_case(
-                seed, jobs=jobs, grid=grid, steps=steps, dim_t=dim_t,
-                workers=workers, queue_cap=queue_cap, schedules=schedules,
-            ),
-            timeout=timeout,
-        )
-        for seed in seeds
-    ]

@@ -2,12 +2,12 @@
 
 :class:`ServeCore` is the whole service with the sockets peeled off — a
 bounded priority queue fed by admission control, a pool of worker threads
-driving jobs round-by-round (the same round granularity that makes
-:class:`~repro.resilience.watchdog.GuardedSweep` checkpoints bit-exact),
-a crash-safe :class:`~repro.serve.journal.JobJournal`, and per-job
-on-disk checkpoints.  :class:`JobServer` is the thin unix-socket
-front-end speaking the newline-JSON protocol of
-:mod:`repro.serve.protocol`.
+driving each job through :class:`~repro.resilience.watchdog.GuardedSweep`
+(its ``stop`` hook carries cancel, deadline, preemption and hard kill;
+its ``meter`` hook bills every phase to the tenant), a crash-safe
+:class:`~repro.serve.journal.JobJournal`, and per-job on-disk checkpoints.
+:class:`JobServer` is the thin unix-socket front-end speaking the
+newline-JSON protocol of :mod:`repro.serve.protocol`.
 
 Robustness invariants (each one is load-bearing and tested):
 
@@ -21,9 +21,9 @@ Robustness invariants (each one is load-bearing and tested):
   resumes bit-exact.
 * **Degrade before shedding.**  Under overload the service first falls
   down the quality ladder — unavailable backends degrade through the
-  existing fallback chain, then verification is shed (jobs complete as
-  status 3, degraded-but-correct) — and only sheds whole jobs when the
-  queue is physically full.
+  existing fallback chain, then verification and the integrity tier are
+  shed (jobs complete as status 3, degraded-but-correct) — and only sheds
+  whole jobs when the queue is physically full.
 * **Crash-safe lifecycle.**  A job is *accepted* exactly when its journal
   record is durably appended; SIGTERM drains the queue with zero
   accepted-job loss, and a SIGKILL mid-job recovers on restart by
@@ -41,15 +41,18 @@ from pathlib import Path
 import numpy as np
 
 from ..core.blocking35d import Blocking35D
-from ..core.naive import run_naive
-from ..core.traffic import TrafficStats
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.serving import JobTraceLog, UsageLedger, prometheus_exposition
 from ..obs.trace import TRACE
 from ..resilience.checkpoint import CheckpointError, CheckpointStore
 from ..resilience.fallback import bind_with_fallback
 from ..resilience.faultinject import FAULTS, ResilienceError
-from ..resilience.sdc import SdcError, SdcGuard, inject_flips
+from ..resilience.sdc import SdcError, SdcGuard
+from ..resilience.watchdog import (
+    GuardedSweep,
+    SweepInterruptedError,
+    metered,
+)
 from ..stencils.grid import Field3D
 from ..stencils.seven_point import SevenPointStencil
 from ..stencils.twentyseven_point import TwentySevenPointStencil
@@ -67,6 +70,10 @@ __all__ = ["JobServer", "PlanCache", "ServeCore", "make_field", "make_kernel"]
 
 #: overload levels, in escalation order
 GREEN, AMBER, RED = "green", "amber", "red"
+
+#: the SdcReport fields a job meter mirrors, as daemon counters
+_SDC_COUNTERS = ("sdc.checks", "sdc.detected", "sdc.healed",
+                 "sdc.replayed_cells")
 
 
 def make_kernel(spec: JobSpec):
@@ -136,12 +143,13 @@ class PlanCache:
 class _JobContext:
     """Mutable per-job runtime state the record does not carry."""
 
-    __slots__ = ("record", "state", "cancel", "preempt", "deadline_at",
+    __slots__ = ("record", "resume", "cancel", "preempt", "deadline_at",
                  "trace", "enqueued_ns")
 
     def __init__(self, record: JobRecord):
         self.record = record
-        self.state: Field3D | None = None
+        #: the job's checkpoint holds its progress (preempted or recovered)
+        self.resume = False
         self.cancel = threading.Event()
         self.preempt = threading.Event()
         self.deadline_at: float | None = None
@@ -356,14 +364,12 @@ class ServeCore:
             except CheckpointError:
                 snap = None
             if snap is not None and 0 < snap.step <= record.spec.steps:
-                state = Field3D.from_array(snap.data.copy())
-                ctx.state = state
+                ctx.resume = True
                 record.done_steps = snap.step
                 record.resumes += 1
                 self.counters["resumes"] += 1
             else:
                 record.done_steps = 0
-                ctx.state = None
             self.counters["recovered"] += 1
             self.journal.append(
                 "recovered", id=jid, done=record.done_steps, durable=False
@@ -619,7 +625,6 @@ class ServeCore:
     def _run_job(self, ctx: _JobContext) -> None:
         record = ctx.record
         spec = record.spec
-        resumed = ctx.state is not None
         picked_ns = time.time_ns()
         if ctx.enqueued_ns:
             self._observe_q(
@@ -628,7 +633,7 @@ class ServeCore:
             if ctx.trace is not None:
                 ctx.trace.add(
                     "job_queue_wait", ctx.enqueued_ns, picked_ns,
-                    resumed=resumed,
+                    resumed=ctx.resume,
                 )
             ctx.enqueued_ns = 0
         with self._lock:
@@ -636,225 +641,68 @@ class ServeCore:
             if record.started_s is None:
                 record.started_s = self._clock()
         self.journal.append(
-            "resumed" if resumed else "started",
+            "resumed" if ctx.resume else "started",
             id=record.id, done=record.done_steps, durable=False,
         )
         if FAULTS.should("serve.deadline", detail=spec.tenant):
             ctx.deadline_at = self._clock() - 1.0  # storm: already expired
         degraded_reasons: list[str] = []
-        verify = spec.verify
-        if verify and self.overload_level() != GREEN:
-            # degrade before shedding: drop the cross-check first
-            verify = False
-            degraded_reasons.append(
-                "overload: result verification shed (grid "
-                f"{self.overload_level()})"
-            )
-            self.counters["verification_shed"] += 1
-        integrity = getattr(spec, "integrity", "off") or "off"
-        if integrity != "off" and self.overload_level() != GREEN:
-            # integrity checks degrade exactly like result verification:
-            # shed under amber, job completes degraded-but-correct
-            degraded_reasons.append(
-                f"overload: integrity tier {integrity} shed (grid "
-                f"{self.overload_level()})"
-            )
-            self.counters["sdc_shed"] += 1
-            self._inc("serve.sdc_shed")
-            integrity = "off"
+        verify, integrity = spec.verify, spec.integrity
+        level = self.overload_level()
+        if level != GREEN:
+            # degrade before shedding: drop the result check and the
+            # integrity tier first; the job completes degraded-but-correct
+            if verify:
+                verify = False
+                degraded_reasons.append(
+                    f"overload: result verification shed (grid {level})"
+                )
+                self.counters["verification_shed"] += 1
+            if integrity != "off":
+                degraded_reasons.append(
+                    f"overload: integrity tier {integrity} shed (grid {level})"
+                )
+                self.counters["sdc_shed"] += 1
+                self._inc("serve.sdc_shed")
+                integrity = "off"
         try:
-            field = ctx.state if ctx.state is not None else make_field(spec)
+            field = make_field(spec)
             kernel, used, plan_degradations = self.plans.get(spec, field)
             record.backend_used = used
             degraded_reasons = plan_degradations + degraded_reasons
-            executor = Blocking35D(kernel, spec.dim_t, spec.tile, spec.tile)
+            sweep = GuardedSweep(
+                Blocking35D(kernel, spec.dim_t, spec.tile, spec.tile),
+                health="off",
+                checkpoint=self._checkpoint_store(record.id),
+                checkpoint_every=self.checkpoint_every_rounds,
+                meta={"id": record.id},
+                stop=lambda: self._stop_reason(ctx),
+                meter=self._job_meter(ctx, integrity),
+                sdc=integrity,
+                sdc_seed=spec.seed,
+                # SDC replays run through the *reference* kernel, a
+                # different rung of the bit-exact ladder than the bound one
+                kernel=make_kernel(spec),
+            )
         except (ValueError, ResilienceError) as exc:
             self._finish(
                 ctx, "failed", f"cannot bind job: {type(exc).__name__}: {exc}"
             )
             return
-        state = field
-        store = self._checkpoint_store(record.id)
-        rounds_since_ck = 0
-        rounds_done = 0
-        # the SDC tier: the guard re-executes through the *reference*
-        # kernel (a different rung of the bit-exact ladder than the bound
-        # backend), from a trusted base refreshed each verified round
-        guard: SdcGuard | None = None
-        good_state: Field3D | None = None
-        good_done = record.done_steps
-        if integrity != "off":
-            guard = SdcGuard(
-                make_kernel(spec), tier=integrity, seed=spec.seed
-            )
-            good_state = Field3D.from_array(field.data.copy())
-
-        def _integrity_phase(name: str, fn):
-            """One metered guard phase: cpu to the tenant's verify_cpu_ns,
-            counter deltas to the daemon registry (the guard writes the
-            global METRICS itself when armed — no dual write here, or an
-            armed bench would double-count), wall span to the job trace."""
-            t0 = time.perf_counter_ns()
-            w0 = time.time_ns()
-            r = guard.report
-            before = (r.checks, r.detections, r.heals, r.replayed_cells)
-            try:
-                return fn()
-            finally:
-                ns = time.perf_counter_ns() - t0
-                self.ledger.charge(spec.tenant, verify_cpu_ns=ns)
-                self._inc("serve.verify_cpu_ns", ns)
-                for key, b, a in (
-                    ("sdc.checks", before[0], r.checks),
-                    ("sdc.detected", before[1], r.detections),
-                    ("sdc.healed", before[2], r.heals),
-                    ("sdc.replayed_cells", before[3], r.replayed_cells),
-                ):
-                    if a > b:
-                        self.metrics.inc(key, a - b)
-                if ctx.trace is not None:
-                    ctx.trace.add(
-                        name, w0, time.time_ns(), tier=integrity,
-                        detections=r.detections,
-                    )
-                    if r.heals > before[2]:
-                        ctx.trace.add(
-                            "sdc_heal", w0, time.time_ns(),
-                            heals=r.heals - before[2],
-                            replayed_cells=r.replayed_cells,
-                        )
-
         run_t0_ns = time.time_ns()
         try:
             with TRACE.span(
                 "serve_job", id=record.id, kernel=spec.kernel, grid=spec.grid,
                 tenant=spec.tenant, priority=spec.priority,
             ):
-                while record.done_steps < spec.steps:
-                    if self._hard_kill:
-                        ctx.state = state  # lost with the process; journal decides
-                        return
-                    if ctx.cancel.is_set():
-                        self._finish(
-                            ctx, "cancelled",
-                            f"cancelled by client after "
-                            f"{record.done_steps}/{spec.steps} steps",
-                        )
-                        store.clear()
-                        return
-                    if (
-                        ctx.deadline_at is not None
-                        and self._clock() > ctx.deadline_at
-                    ):
-                        self.counters["deadline_misses"] += 1
-                        self._inc("serve.deadline_misses")
-                        self._finish(
-                            ctx, "failed",
-                            f"deadline exceeded after "
-                            f"{record.done_steps}/{spec.steps} steps",
-                        )
-                        store.clear()
-                        return
-                    if ctx.preempt.is_set():
-                        ctx.preempt.clear()
-                        store.save(
-                            state.data, record.done_steps, {"id": record.id}
-                        )
-                        ctx.state = state
-                        with self._lock:
-                            record.status = "queued"
-                            record.preemptions += 1
-                        self.counters["preemptions"] += 1
-                        self._inc("serve.preemptions")
-                        self.ledger.count(spec.tenant, "preempted")
-                        self.journal.append(
-                            "requeued", id=record.id, done=record.done_steps,
-                            durable=False,
-                        )
-                        ctx.enqueued_ns = time.time_ns()
-                        self.queue.push(record.id, spec.priority, force=True)
-                        return
-                    if FAULTS.should("serve.stall"):
-                        time.sleep(self.stall_s)
-                    if guard is not None:
-                        # resting corruption since the last seal is healed
-                        # BEFORE this round consumes it
-                        state = _integrity_phase(
-                            "sdc_check",
-                            lambda: guard.verify_seals(
-                                state, record.done_steps, good_state,
-                                good_done,
-                            ),
-                        )
-                    round_t = min(spec.dim_t, spec.steps - record.done_steps)
-                    # meter the round: modeled traffic + worker cpu time,
-                    # charged to the tenant and mirrored into the global
-                    # counters with *integer* arithmetic so the ledger
-                    # reconciles exactly
-                    traffic = TrafficStats()
-                    cpu_t0 = time.perf_counter_ns()
-                    round_w0 = time.time_ns()
-                    state = executor.run(state, round_t, traffic)
-                    cpu_ns = time.perf_counter_ns() - cpu_t0
-                    if ctx.trace is not None:
-                        ctx.trace.add(
-                            "job_round", round_w0, time.time_ns(),
-                            steps=round_t, done=record.done_steps + round_t,
-                            updates=traffic.updates,
-                        )
-                    self.ledger.charge(
-                        spec.tenant,
-                        site_updates=traffic.updates,
-                        bytes_read=traffic.bytes_read,
-                        bytes_written=traffic.bytes_written,
-                        cpu_ns=cpu_ns,
-                    )
-                    self._inc("serve.site_updates", traffic.updates)
-                    self._inc("serve.cpu_ns", cpu_ns)
-                    self._inc("traffic.bytes_read", traffic.bytes_read)
-                    self._inc("traffic.bytes_written", traffic.bytes_written)
-                    record.done_steps += round_t
-                    if guard is not None:
-                        def _check_and_seal():
-                            out = guard.check_round(
-                                state, record.done_steps, good_state,
-                                good_done, rounds_done,
-                            )
-                            guard.seal(out)
-                            return out
-                        state = _integrity_phase("sdc_check", _check_and_seal)
-                        # the just-verified state becomes the trusted base
-                        # (refreshed PRE-flip, so it stays clean); the
-                        # memory.flip probe then fires in-window
-                        good_state = Field3D.from_array(state.data.copy())
-                        good_done = record.done_steps
-                        inject_flips(
-                            state.data, rank=0, round_index=rounds_done,
-                            seed=spec.seed,
-                        )
-                    rounds_done += 1
-                    rounds_since_ck += 1
-                    if (
-                        rounds_since_ck >= self.checkpoint_every_rounds
-                        and record.done_steps < spec.steps
-                    ):
-                        store.save(
-                            state.data, record.done_steps, {"id": record.id}
-                        )
-                        rounds_since_ck = 0
-                if guard is not None:
-                    # flips landing after the final seal stay in-window
-                    state = _integrity_phase(
-                        "sdc_check",
-                        lambda: guard.verify_seals(
-                            state, record.done_steps, good_state, good_done
-                        ),
-                    )
+                state = sweep.run(field, spec.steps, resume=ctx.resume)
+        except SweepInterruptedError as exc:
+            self._interrupted(ctx, exc)
+            return
         except SdcError as exc:
             self._finish(
                 ctx, "failed", f"integrity: {type(exc).__name__}: {exc}"
             )
-            store.clear()
             return
         finally:
             if ctx.trace is not None:
@@ -863,27 +711,117 @@ class ServeCore:
                     done=record.done_steps, status=record.status,
                     backend=record.backend_used,
                 )
-        if guard is not None and guard.report.degraded:
+        sdc = sweep.report.sdc
+        if sdc is not None and sdc.degraded:
             degraded_reasons.append(
-                f"sdc: {guard.report.detections} detection(s), "
-                f"{guard.report.heals} healed surgically (tier {integrity})"
+                f"sdc: {sdc.detections} detection(s), "
+                f"{sdc.heals} healed surgically (tier {integrity})"
             )
-        sha = grid_sha256(state.data)
         if verify:
-            ref = run_naive(make_kernel(spec), make_field(spec), spec.steps)
-            if not np.array_equal(state.data, ref.data):
+            # the result check: one final full-tier check of the whole run
+            # from the initial grid; max_heals=0 fails a mismatch
+            check = SdcGuard(make_kernel(spec), tier="full", max_heals=0)
+            try:
+                metered(self._job_meter(ctx, "full"), "sdc_check",
+                        {"sdc": check.report}, check.check_round,
+                        state, spec.steps, field, 0, 0)
+            except SdcError:
                 self._finish(
                     ctx, "failed", "result mismatched the naive reference"
                 )
-                store.clear()
                 return
-        ctx.state = None
-        store.clear()
-        status = "degraded" if degraded_reasons else "done"
         with self._lock:
-            record.sha256 = sha
+            record.sha256 = grid_sha256(state.data)
             record.degradations = degraded_reasons
-        self._finish(ctx, status, "")
+        self._finish(ctx, "degraded" if degraded_reasons else "done", "")
+
+    def _stop_reason(self, ctx: _JobContext) -> str | None:
+        """A job's round-boundary hook (the ``serve.stall`` probe fires
+        here too, before a round that goes on)."""
+        if self._hard_kill:
+            return "kill"  # lost with the process; the journal decides
+        if ctx.cancel.is_set():
+            return "cancel"
+        if ctx.deadline_at is not None and self._clock() > ctx.deadline_at:
+            return "deadline"
+        if ctx.preempt.is_set():
+            return "preempt"
+        if FAULTS.should("serve.stall"):
+            time.sleep(self.stall_s)
+        return None
+
+    def _interrupted(self, ctx: _JobContext, exc: SweepInterruptedError):
+        record, spec = ctx.record, ctx.record.spec
+        progress = f"{exc.step}/{spec.steps} steps"
+        if exc.reason == "preempt":
+            # the sweep checkpointed the verified state; resume from it
+            ctx.preempt.clear()
+            ctx.resume = True
+            with self._lock:
+                record.status = "queued"
+                record.preemptions += 1
+            self.counters["preemptions"] += 1
+            self._inc("serve.preemptions")
+            self.ledger.count(spec.tenant, "preempted")
+            self.journal.append(
+                "requeued", id=record.id, done=exc.step, durable=False,
+            )
+            ctx.enqueued_ns = time.time_ns()
+            self.queue.push(record.id, spec.priority, force=True)
+        elif exc.reason == "deadline":
+            self.counters["deadline_misses"] += 1
+            self._inc("serve.deadline_misses")
+            self._finish(ctx, "failed", f"deadline exceeded after {progress}")
+        elif exc.reason == "cancel":
+            self._finish(
+                ctx, "cancelled", f"cancelled by client after {progress}"
+            )
+
+    def _job_meter(self, ctx: _JobContext, tier: str):
+        """One job's per-phase meter (see :func:`metered`): rounds bill
+        traffic and worker time, integrity phases ``verify_cpu_ns`` and
+        their ``sdc.*`` report deltas, each phase a job span.  Integer
+        charges, so the ledger reconciles exactly; ``sdc.*`` goes to the
+        daemon registry only (the guard writes the global METRICS itself
+        when armed, so a dual write would make an armed bench
+        double-count)."""
+        record = ctx.record
+        tenant = record.spec.tenant
+        seen = (0, 0, 0, 0)
+
+        def meter(phase, w0, ns, *, steps=0, done=0, traffic=None, sdc=None):
+            nonlocal seen
+            if phase == "round":
+                record.done_steps = done
+                if ctx.trace is not None:
+                    ctx.trace.add("job_round", w0, time.time_ns(), steps=steps,
+                                  done=done, updates=traffic.updates)
+                self.ledger.charge(
+                    tenant, site_updates=traffic.updates, cpu_ns=ns,
+                    bytes_read=traffic.bytes_read,
+                    bytes_written=traffic.bytes_written,
+                )
+                self._inc("serve.site_updates", traffic.updates)
+                self._inc("serve.cpu_ns", ns)
+                self._inc("traffic.bytes_read", traffic.bytes_read)
+                self._inc("traffic.bytes_written", traffic.bytes_written)
+                return
+            self.ledger.charge(tenant, verify_cpu_ns=ns)
+            self._inc("serve.verify_cpu_ns", ns)
+            now = (sdc.checks, sdc.detections, sdc.heals, sdc.replayed_cells)
+            for key, b, a in zip(_SDC_COUNTERS, seen, now):
+                if a > b:
+                    self.metrics.inc(key, a - b)
+            if ctx.trace is not None:
+                ctx.trace.add(phase, w0, time.time_ns(), tier=tier,
+                              detections=sdc.detections)
+                if sdc.heals > seen[2]:
+                    ctx.trace.add("sdc_heal", w0, time.time_ns(),
+                                  heals=sdc.heals - seen[2],
+                                  replayed_cells=sdc.replayed_cells)
+            seen = now
+
+        return meter
 
     def _finish(self, ctx: _JobContext, status: str, reason: str) -> None:
         record = ctx.record
@@ -893,6 +831,7 @@ class ServeCore:
             record.status = status
             record.reason = reason
             record.finished_s = self._clock()
+        self._checkpoint_store(record.id).clear()  # terminal: never resumed
         self.journal.append(
             "done" if status in ("done", "degraded", "failed") else status,
             id=record.id, status=status, reason=reason, sha256=record.sha256,

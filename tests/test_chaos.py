@@ -11,7 +11,6 @@ from repro.resilience import (
     SCHEDULES,
     make_case,
     run_case,
-    run_soak,
     write_bundle,
 )
 
@@ -79,11 +78,12 @@ class TestRunCase:
         assert doc["ok"] is True
 
     def test_soak_multiple_seeds(self):
-        results = run_soak(range(3), grid=16, steps=4)
+        results = [run_case(make_case(seed, grid=16, steps=4))
+                   for seed in range(3)]
         assert len(results) == 3
         assert all(r.ok for r in results)
         # seeds are independent: same seed re-run reproduces exactly
-        again = run_soak([0], grid=16, steps=4)[0]
+        again = run_case(make_case(0, grid=16, steps=4))
         assert again.recoveries == results[0].recoveries
         assert again.comm_dropped == results[0].comm_dropped
 

@@ -23,7 +23,9 @@ from repro.resilience import (
     CheckpointStore,
     GuardedSweep,
     RunReport,
+    SweepInterruptedError,
 )
+from repro.resilience.chaos import write_bundle
 from repro.resilience.quarantine import gc_corrupt, quarantine
 from repro.resilience.rankrecovery import (
     BuddySnapshot,
@@ -43,7 +45,6 @@ from repro.resilience.sdc import (
     plane_crcs,
     rot_file,
     run_sdc_case,
-    write_sdc_bundle,
 )
 from repro.obs.serving import prometheus_exposition
 from repro.serve import JobSpec, ServeCore
@@ -251,6 +252,61 @@ class TestGuardedSweepIntegrity:
             with pytest.raises(SdcUnhealableError):
                 guard.run(field, 8)
 
+    def test_interrupt_after_flip_checkpoints_the_healed_grid(
+        self, seven_point, tmp_path
+    ):
+        # a flip lands after round 1's seal; the stop comes at the very
+        # next boundary.  The seals are verified (and the flip healed)
+        # before the interrupt checkpoint, so the resume trusts clean bits.
+        field = Field3D.random((16, 16, 16), dtype=np.float32, seed=0)
+        oracle = run_naive(seven_point, field, 8)
+        store = CheckpointStore(tmp_path / "ck.npz")
+
+        class StopAfterTwoChecks:
+            calls = 0
+
+            def is_set(self):
+                self.calls += 1
+                return self.calls > 2
+
+        guard = GuardedSweep(
+            Blocking35D(seven_point, 2, 16, 16), sdc="seal",
+            checkpoint=store, stop=StopAfterTwoChecks(),
+        )
+        with FAULTS.injected("memory.flip=0:1:3"):
+            with pytest.raises(SweepInterruptedError) as err:
+                guard.run(field, 8)
+        assert err.value.step == 4 and err.value.checkpointed
+        assert guard.sdc.report.detections == 1
+        resumed = GuardedSweep(
+            Blocking35D(seven_point, 2, 16, 16), sdc="seal", checkpoint=store
+        )
+        out = resumed.run(field, 8, resume=True)
+        assert resumed.report.resumed_from == 4
+        assert_fields_equal(out, oracle)
+
+    def test_sweep_is_reusable_with_an_active_tier(self, seven_point):
+        # a second run() on the same instance must not check the first
+        # run's seals against its new input
+        guard = guarded(seven_point, tile=10, sdc="seal")
+        for seed in (1, 2):
+            field = Field3D.random((10, 10, 10), dtype=np.float64, seed=seed)
+            out = guard.run(field, 4)
+            assert_fields_equal(out, run_naive(seven_point, field, 4))
+        assert guard.sdc.report.detections == 0
+
+    def test_one_plane_edge_band_replays_a_one_step_round(self, seven_point):
+        # 12^3 bands are one plane wide; the last round of 5 steps at
+        # dim_T=2 is one step, so an edge band's cone is only two planes —
+        # the replay must widen it to the 2R+1 planes a sweep needs
+        field = Field3D.random((12, 12, 12), dtype=np.float32, seed=3)
+        guard = GuardedSweep(
+            Blocking35D(seven_point, 2, 12, 12), sdc="seal", sdc_seed=3
+        )
+        out = guard.run(field, 5)
+        assert_fields_equal(out, run_naive(seven_point, field, 5))
+        assert guard.sdc.report.detections == 0
+
 
 class TestRingIntegrity:
     def test_plane_ring_seal_and_check(self):
@@ -394,7 +450,8 @@ class TestSdcChaos:
 
     def test_bundle_written_for_failures(self, tmp_path):
         result = run_sdc_case(make_sdc_case(1, grid=12, steps=4, dim_t=2))
-        bundle = write_sdc_bundle(result, tmp_path)
+        bundle = write_bundle(result, tmp_path, "sdc-seed")
+        assert bundle == tmp_path / "sdc-seed-1"
         assert (bundle / "case.json").exists()
         assert (bundle / "faults.txt").read_text().strip() == \
             ",".join(result.case.specs)
@@ -514,6 +571,41 @@ class TestServeIntegrity:
                    for d in record.degradations)
         assert record.sha256 == reference_sha(record.spec)
         assert core.counters["sdc_shed"] >= 1
+        assert core.drain()
+
+    def test_one_plane_edge_band_job_completes(self, tmp_path):
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        core.start()
+        spec = JobSpec(grid=12, steps=5, seed=3, integrity="seal")
+        jid = core.submit(spec.to_dict())["id"]
+        wait_terminal(core)
+        record = core.status(jid)
+        assert record.status == "done" and record.code == 0, record.reason
+        assert record.sha256 == reference_sha(record.spec)
+        assert core.drain()
+
+    def test_verify_mismatch_fails_the_job(self, tmp_path):
+        # bind a kernel with the wrong weights: the sweep runs clean but
+        # its result is wrong, and only the final verify check can tell
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        plan = core.plans.get
+        core.plans.get = lambda spec, field: (
+            SevenPointStencil(alpha=0.5),) + plan(spec, field)[1:]
+        core.start()
+        spec = JobSpec(grid=12, steps=4, verify=True, tenant="acme",
+                       trace_id="t-verify")
+        jid = core.submit(spec.to_dict())["id"]
+        wait_terminal(core)
+        record = core.status(jid)
+        assert record.status == "failed" and record.code == 4
+        assert "mismatched the naive reference" in record.reason
+        assert record.sha256 == ""
+        stats = core.stats()
+        # the check is metered like every integrity phase
+        assert stats["tenants"]["acme"]["verify_cpu_ns"] > 0
+        assert stats["metrics"]["counters"]["sdc.detected"] == 1
+        assert stats["ledger_mismatches"] == []
+        assert "sdc_check" in [s["name"] for s in core.spans(jid)]
         assert core.drain()
 
     def test_unknown_tier_rejected_at_submit(self, tmp_path):

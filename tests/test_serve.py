@@ -422,9 +422,12 @@ class TestWireProtocol:
 
 class TestServeChaos:
     def test_quick_soak_two_seeds(self):
-        from repro.serve.chaos import run_serve_soak
+        from repro.serve.chaos import make_serve_case, run_serve_case
 
-        results = run_serve_soak(range(2), jobs=8, grid=10, steps=4)
+        results = [
+            run_serve_case(make_serve_case(seed, jobs=8, grid=10, steps=4))
+            for seed in range(2)
+        ]
         for r in results:
             assert r.ok, (
                 f"seed {r.case.seed}: {r.error}, "
