@@ -2,14 +2,16 @@
 """Hot-path benchmark: per-backend GUPS and allocation counts.
 
 Runs the 3.5D executor over the 7-point, 27-point and LBM kernels under each
-available kernel backend (see :mod:`repro.perf.backends`) and reports
+available kernel backend (see :mod:`repro.perf.backends`), plus the
+allocation-free :class:`~repro.perf.backends.InplaceKernel` path under the
+local label ``inplace``, and reports
 
 * sustained update throughput (GUPS — giga lattice-site updates per second),
 * the number and volume of plane-sized allocations in the steady state,
   measured with :mod:`tracemalloc` after a warm-up sweep,
 * the scratch-arena hit statistics for the in-place backends.
 
-The acceptance bar for this layer is that ``numpy-inplace`` reaches at least
+The acceptance bar for this layer is that ``InplaceKernel`` reaches at least
 1.5x the single-thread GUPS of the reference ``numpy`` backend on the 7-point
 kernel at 128^3 (run without ``--quick``), while every backend stays
 bit-identical to the naive reference.
@@ -31,11 +33,23 @@ import tracemalloc
 import numpy as np
 
 from repro.core import Blocking35D, run_naive
-from repro.perf.backends import available_backends, bound_rung, wrap_kernel
+from repro.perf.backends import (
+    InplaceKernel,
+    available_backends,
+    bound_rung,
+    wrap_kernel,
+)
 from repro.stencils import Field3D, SevenPointStencil, TwentySevenPointStencil
 
 #: allocations at least this large count as "plane-sized" in the steady state
 PLANE_BYTES_THRESHOLD = 16 * 1024
+
+#: label of the InplaceKernel path, which is not a registry backend
+INPLACE = "inplace"
+
+
+def _bind(kernel, bname: str):
+    return InplaceKernel(kernel) if bname == INPLACE else wrap_kernel(kernel, bname)
 
 
 def _make_case(name: str, grid: int, steps: int, dim_t: int, tile: int):
@@ -114,8 +128,8 @@ def bench_case(
           f"{'peak KB':>9} {'arena':>12}")
     executors: dict[str, Blocking35D] = {}
     for bname in backends:
-        ex = Blocking35D(wrap_kernel(kernel, bname), dim_t, tile, tile)
-        if rungs is not None:
+        ex = Blocking35D(_bind(kernel, bname), dim_t, tile, tile)
+        if rungs is not None and bname != INPLACE:
             # the ladder rung actually bound — codegen/fused requests serve
             # the fused numpy plan for kernels outside their supported set
             rungs[bname] = bound_rung(ex.kernel)
@@ -160,7 +174,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--kernels", nargs="+", default=["7pt", "27pt", "lbm"],
                     choices=["7pt", "27pt", "lbm"])
     ap.add_argument("--backends", nargs="+", default=None,
-                    help="backend names (default: all available)")
+                    help=f"backend names or {INPLACE!r} (default: all "
+                    "available, plus the in-place path)")
     ap.add_argument("--no-check", action="store_true",
                     help="skip the naive bit-exactness cross-check")
     ap.add_argument("--json", default=None, metavar="PATH",
@@ -170,12 +185,12 @@ def main(argv: list[str] | None = None) -> int:
     grid = args.grid or (32 if args.quick else 128)
     lbm_grid = min(grid, 24 if args.quick else 64)
     repeats = args.repeats or (1 if args.quick else 4)
-    backends = args.backends or available_backends()
+    backends = args.backends or [INPLACE] + available_backends()
     if backends[0] != "numpy":
         backends = ["numpy"] + [b for b in backends if b != "numpy"]
     try:
         for bname in backends:
-            wrap_kernel(SevenPointStencil(), bname)  # fail fast on bad names
+            _bind(SevenPointStencil(), bname)  # fail fast on bad names
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -195,11 +210,11 @@ def main(argv: list[str] | None = None) -> int:
     rc = 0
     verdict = None
     speedup = None
-    if "7pt" in results and "numpy-inplace" in results["7pt"]:
-        speedup = results["7pt"]["numpy-inplace"] / results["7pt"]["numpy"]
+    if "7pt" in results and INPLACE in results["7pt"]:
+        speedup = results["7pt"][INPLACE] / results["7pt"]["numpy"]
         bar = 1.5
         verdict = "PASS" if speedup >= bar else ("n/a (quick)" if args.quick else "FAIL")
-        print(f"\n7pt numpy-inplace vs numpy: {speedup:.2f}x "
+        print(f"\n7pt InplaceKernel vs numpy: {speedup:.2f}x "
               f"(acceptance >= {bar}x at 128^3: {verdict})")
         if not args.quick and speedup < bar:
             rc = 1
@@ -208,12 +223,11 @@ def main(argv: list[str] | None = None) -> int:
         # traffic against the Eq. 2 model so CI can watch kappa drift.
         from repro.obs.validate import metered_sweep_metrics
 
-        mbackend = ("numpy-inplace" if "numpy-inplace" in backends
-                    else backends[0])
+        mbackend = INPLACE if INPLACE in backends else backends[0]
         mkernel, mfield, msteps, mdim_t, mtile = _make_case(
             "7pt", grid, 2 if args.quick else 4, 4, min(grid, 128))
         metrics_block = metered_sweep_metrics(
-            wrap_kernel(mkernel, mbackend), mfield, msteps,
+            _bind(mkernel, mbackend), mfield, msteps,
             dim_t=mdim_t, tile=mtile,
         )
         metrics_block["kernel"] = "7pt"

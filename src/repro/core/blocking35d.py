@@ -464,15 +464,14 @@ class Blocking35D:
         tile_runner = getattr(self.kernel, "tile_runner", None)
         if tile_runner is not None:
             runner = tile_runner(self, src, dst, ctx, schedule, round_t)
-            if runner is not None:
-                if TRACE.armed:
-                    for k in runner.iteration_keys:
-                        with TRACE.span("z_iter", k=k, fused=True):
-                            runner.run_iteration(k, traffic=traffic)
-                else:
-                    for k in runner.iteration_keys:
+            if TRACE.armed:
+                for k in runner.iteration_keys:
+                    with TRACE.span("z_iter", k=k, fused=True):
                         runner.run_iteration(k, traffic=traffic)
-                return
+            else:
+                for k in runner.iteration_keys:
+                    runner.run_iteration(k, traffic=traffic)
+            return
         regions = self.instance_regions(ctx, src.shape, round_t)
         if TRACE.armed:
             # the flat step order equals the per-iteration grouping (steps

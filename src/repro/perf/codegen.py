@@ -19,9 +19,9 @@ Layout of the layer:
     widths arrive as int64 arrays at call time, so one compiled kernel
     serves every grid size, tile shape and ``round_t`` — which is what lets
     a warm disk cache mean zero JIT cost for *new* plans too.  The scalar
-    loop bodies mirror the proven bit-exact fused-numba kernels line for
-    line (same operand association, same shell substitution, same strip
-    refresh), so results are bit-identical to every other backend.
+    loop bodies keep the reference kernels' operand association, shell
+    substitution and strip refresh, so results are bit-identical to every
+    other backend.
 ``CodegenCache``
     On-disk store of generated modules under
     ``$REPRO_CODEGEN_CACHE`` (default ``$XDG_CACHE_HOME/repro/codegen``),
@@ -794,7 +794,7 @@ class _CodegenSweepRunner:
         self.src3 = src.data[0]
         self.dst3 = dst.data[0]
 
-        # --- stencil constants (same bindings as the fused-numba runner) -
+        # --- stencil constants -------------------------------------------
         scalar = dtype.type
         self.alpha = scalar(0)
         self.beta = scalar(0)

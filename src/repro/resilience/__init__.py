@@ -9,7 +9,7 @@ drops that assumption:
   (armed via :data:`FAULTS` or ``$REPRO_FAULTS``) so every failure mode is
   testable;
 * :mod:`~repro.resilience.fallback` — the bit-exact backend fallback chain
-  ``fused-numba -> fused-numpy -> numpy-inplace -> numpy``;
+  ``codegen -> fused-numpy -> numpy``;
 * :mod:`~repro.resilience.watchdog` — :class:`GuardedSweep` per-round
   NaN/Inf health checks, retry with exponential backoff, repair from the
   last good state;

@@ -5,7 +5,7 @@ reference NumPy kernels, so a backend failure is never a reason to abort a
 sweep — it is a reason to step down to the next-simplest backend and keep
 going.  The chain follows the performance ladder downward::
 
-    codegen -> fused-numba -> fused-numpy -> numpy-inplace -> numpy
+    codegen -> fused-numpy -> numpy
 
 :func:`bind_with_fallback` walks that chain.  A candidate is rejected when
 
@@ -42,7 +42,7 @@ __all__ = [
 
 #: the performance ladder, fastest first; a failing backend falls to the
 #: next entry to its right
-FALLBACK_ORDER = ("codegen", "fused-numba", "fused-numpy", "numpy-inplace", "numpy")
+FALLBACK_ORDER = ("codegen", "fused-numpy", "numpy")
 
 
 class FallbackExhaustedError(ResilienceError):
@@ -84,16 +84,9 @@ class BoundBackend:
 
 
 def fallback_chain(name: str) -> list[str]:
-    """Backends tried for a request of ``name``, in order.
-
-    Known backends continue down :data:`FALLBACK_ORDER`; a custom registered
-    backend falls straight to the reference.
-    """
-    if name in FALLBACK_ORDER:
-        return list(FALLBACK_ORDER[FALLBACK_ORDER.index(name):])
-    if name == "numpy":
-        return ["numpy"]
-    return [name, "numpy"]
+    """Backends tried for a request of ``name``, in order: ``name`` and every
+    rung to its right in :data:`FALLBACK_ORDER`."""
+    return list(FALLBACK_ORDER[FALLBACK_ORDER.index(name):])
 
 
 def _probe_first_tile(wrapped, ref_kernel, name: str, probe_field) -> None:

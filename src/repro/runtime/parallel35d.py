@@ -176,27 +176,26 @@ class ParallelBlocking35D:
                     # on its row span in one call (repro.perf.fused); run_spmd
                     # still supplies the paper's single barrier per z-iteration.
                     runner = tile_runner(inner, src, dst, ctx, schedule, round_t)
-                    if runner is not None:
-                        for k in runner.iteration_keys:
+                    for k in runner.iteration_keys:
 
-                            def run_fused(tid: int, k=k) -> None:
-                                row = rows[tid]
-                                if row[0] >= row[1]:
-                                    return
-                                runner.run_iteration(
-                                    k, rows=row, traffic=thread_stats[tid]
-                                )
+                        def run_fused(tid: int, k=k) -> None:
+                            row = rows[tid]
+                            if row[0] >= row[1]:
+                                return
+                            runner.run_iteration(
+                                k, rows=row, traffic=thread_stats[tid]
+                            )
 
-                            if armed:
-                                with TRACE.span("z_iter", k=k, fused=True):
-                                    pool.run_spmd(
-                                        run_fused, deadline=self.spmd_deadline
-                                    )
-                            else:
+                        if armed:
+                            with TRACE.span("z_iter", k=k, fused=True):
                                 pool.run_spmd(
                                     run_fused, deadline=self.spmd_deadline
                                 )
-                        continue
+                        else:
+                            pool.run_spmd(
+                                run_fused, deadline=self.spmd_deadline
+                            )
+                    continue
                 regions = inner.instance_regions(ctx, src.shape, round_t)
                 for k in sorted(iterations):
                     steps_k = iterations[k]

@@ -110,6 +110,15 @@ class JobSpec:
             return "deadline_s must be positive"
         if not self.tenant:
             return "tenant must be non-empty"
+        if self.backend is not None:
+            if not isinstance(self.backend, str):
+                return f"backend must be a name, not {self.backend!r}"
+            from ..perf.backends import get_backend
+
+            try:
+                get_backend(self.backend)
+            except ValueError as exc:
+                return str(exc)
         return None
 
     def signature(self) -> tuple:

@@ -147,8 +147,9 @@ class PlaneKernel(abc.ABC):
         operand pairing, same reduction order — while drawing every temporary
         from ``arena`` (``np.add/np.multiply(..., out=...)`` style).  The base
         implementation falls back to the allocating path, so kernels without
-        a hand-written in-place path stay correct under the ``numpy-inplace``
-        backend, just not allocation-free.
+        a hand-written in-place path stay correct under
+        :class:`~repro.perf.backends.InplaceKernel` (and so the
+        ``fused-numpy`` rung), just not allocation-free.
 
         ``seam_writable=True`` is a caller promise that positions of ``out``
         in rows ``[y0, y1)`` but *outside* columns ``[x0, x1)`` are dead: the

@@ -8,10 +8,10 @@ import pytest
 from repro.core import Blocking4D, Blocking25D, Blocking35D, run_naive
 from repro.perf.backends import (
     REPRO_BACKEND_ENV,
-    BackendUnavailableError,
     InplaceKernel,
     available_backends,
     backend_names,
+    bound_rung,
     default_backend_name,
     get_backend,
     wrap_kernel,
@@ -25,6 +25,13 @@ from .conftest import assert_fields_equal
 #: steady-state allocations at least this large count as plane-sized
 PLANE_BYTES = 16 * 1024
 
+#: the reference kernel as written, and its allocation-free in-place path
+#: (the one the fused-numpy rung takes outside the 3.5D executors)
+_PATHS = [
+    pytest.param(lambda k: k, id="numpy"),
+    pytest.param(InplaceKernel, id="numpy-inplace"),
+]
+
 
 def _kernels():
     return {
@@ -37,13 +44,12 @@ def _kernels():
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = backend_names()
-        assert {"numpy", "numpy-inplace", "numba"} <= set(names)
+        assert backend_names() == ["numpy", "fused-numpy", "codegen"]
 
     def test_available_subset(self):
         assert set(available_backends()) <= set(backend_names())
         assert "numpy" in available_backends()
-        assert "numpy-inplace" in available_backends()
+        assert "fused-numpy" in available_backends()
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -51,19 +57,29 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown backend"):
             wrap_kernel(SevenPointStencil(), "no-such-backend")
 
-    def test_unavailable_backend_raises(self):
-        numba = get_backend("numba")
-        if numba.available:  # pragma: no cover - depends on environment
-            pytest.skip("numba installed in this environment")
-        assert numba.unavailable_reason
-        with pytest.raises(BackendUnavailableError, match="numba"):
-            wrap_kernel(SevenPointStencil(), "numba")
+    @pytest.mark.parametrize("name, use", [
+        ("numpy-inplace", "fused-numpy"),
+        ("numba", "codegen"),
+        ("fused-numba", "codegen"),
+    ])
+    def test_removed_backend_names_its_replacement(self, name, use):
+        msg = f"backend '{name}' was removed; use '{use}'"
+        with pytest.raises(ValueError, match=msg):
+            get_backend(name)
+        with pytest.raises(ValueError, match=msg):
+            wrap_kernel(SevenPointStencil(), name)
+
+    def test_bound_rung_names_the_ladder_rung(self):
+        k = SevenPointStencil()
+        assert bound_rung(k) == "numpy"
+        assert bound_rung(InplaceKernel(k)) == "numpy"
+        assert bound_rung(wrap_kernel(k, "fused-numpy")) == "fused-numpy"
 
     def test_env_var_default(self, monkeypatch):
         monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
         assert default_backend_name() == "numpy"
-        monkeypatch.setenv(REPRO_BACKEND_ENV, "numpy-inplace")
-        assert default_backend_name() == "numpy-inplace"
+        monkeypatch.setenv(REPRO_BACKEND_ENV, "fused-numpy")
+        assert default_backend_name() == "fused-numpy"
         assert isinstance(wrap_kernel(SevenPointStencil()), InplaceKernel)
 
     def test_numpy_backend_is_identity(self):
@@ -72,15 +88,15 @@ class TestRegistry:
 
     def test_inplace_wrap_is_flat(self):
         k = SevenPointStencil()
-        wrapped = wrap_kernel(k, "numpy-inplace")
+        wrapped = InplaceKernel(k)
         assert isinstance(wrapped, InplaceKernel)
         # wrapping a wrapper must not stack adapters
-        rewrapped = wrap_kernel(wrapped, "numpy-inplace")
+        rewrapped = InplaceKernel(wrapped)
         assert rewrapped.inner is k
 
     def test_inplace_preserves_contract(self):
         k = TwentySevenPointStencil()
-        wrapped = wrap_kernel(k, "numpy-inplace")
+        wrapped = InplaceKernel(k)
         assert wrapped.radius == k.radius
         assert wrapped.ncomp == k.ncomp
         assert wrapped.ops_per_update == k.ops_per_update
@@ -88,13 +104,13 @@ class TestRegistry:
 
 
 class TestBitExactness:
-    @pytest.mark.parametrize("backend", ["numpy", "numpy-inplace"])
+    @pytest.mark.parametrize("bind", _PATHS)
     @pytest.mark.parametrize("kname", ["7pt", "27pt", "star-r2", "box-r1"])
-    def test_all_executors_match_naive(self, backend, kname):
+    def test_all_executors_match_naive(self, bind, kname):
         k = _kernels()[kname]
         field = Field3D.random((14, 30, 30), dtype=np.float32, seed=3)
         ref = run_naive(k, field, 4)
-        wk = wrap_kernel(k, backend)
+        wk = bind(k)
         tile_z = 12 if k.radius > 1 else 8
         executors = [
             Blocking35D(wk, 2, 16, 16, validate=True),
@@ -114,8 +130,7 @@ class TestBitExactness:
         k = star_stencil(2)
         field = Field3D.random((14, 30, 30), dtype=np.float32, seed=3)
         ref = run_naive(k, field, 5)
-        for backend in ("numpy", "numpy-inplace"):
-            wk = wrap_kernel(k, backend)
+        for wk in (k, InplaceKernel(k)):
             out = ParallelBlocking35D(wk, 2, 16, 16, n_threads=n_threads).run(field, 5)
             assert_fields_equal(out, ref)
 
@@ -133,8 +148,7 @@ class TestBitExactness:
         lat.set_solid(solid)
         k = LBMKernel(lat.flags, omega=1.2)
         ref = run_naive(k, lat.f, 3)
-        for backend in ("numpy", "numpy-inplace"):
-            wk = wrap_kernel(k, backend)
+        for wk in (k, InplaceKernel(k)):
             out = Blocking35D(wk, 2, 12, 12).run(lat.f, 3)
             assert_fields_equal(out, ref)
 
@@ -160,7 +174,7 @@ class TestSteadyStateAllocations:
     def test_sweep_round_allocates_no_planes_once_warm(self):
         """After warm-up, an in-place 3.5D sweep's transient allocation peak
         stays far below one plane (the numpy backend churns several)."""
-        k = wrap_kernel(SevenPointStencil(), "numpy-inplace")
+        k = InplaceKernel(SevenPointStencil())
         field = Field3D.random((24, 48, 48), dtype=np.float32, seed=21)
         ex = Blocking35D(k, 2, 48, 48)
         from repro.stencils.grid import copy_shell
@@ -177,7 +191,7 @@ class TestSteadyStateAllocations:
         assert peak - baseline < PLANE_BYTES
 
     def test_arena_reuses_buffers(self):
-        k = wrap_kernel(SevenPointStencil(), "numpy-inplace")
+        k = InplaceKernel(SevenPointStencil())
         field = Field3D.random((12, 24, 24), dtype=np.float32, seed=22)
         ex = Blocking35D(k, 2, 24, 24)
         ex.run(field, 4)
@@ -188,11 +202,11 @@ class TestSteadyStateAllocations:
 
 
 class TestExecutorCacheReuse:
-    @pytest.mark.parametrize("backend", ["numpy", "numpy-inplace"])
-    def test_rerun_with_new_contents(self, backend):
+    @pytest.mark.parametrize("bind", _PATHS)
+    def test_rerun_with_new_contents(self, bind):
         """Persistent tile state must not leak values between run() calls."""
         k = _kernels()["7pt"]
-        wk = wrap_kernel(k, backend)
+        wk = bind(k)
         ex = Blocking35D(wk, 2, 16, 16)
         for seed in (1, 2, 3):
             field = Field3D.random((12, 26, 26), dtype=np.float32, seed=seed)
@@ -200,7 +214,7 @@ class TestExecutorCacheReuse:
 
     def test_rerun_with_new_shape_and_dtype(self):
         k = _kernels()["7pt"]
-        ex = Blocking35D(wrap_kernel(k, "numpy-inplace"), 2, 16, 16)
+        ex = Blocking35D(InplaceKernel(k), 2, 16, 16)
         for shape, dtype in [
             ((12, 26, 26), np.float32),
             ((10, 20, 32), np.float32),
@@ -211,7 +225,7 @@ class TestExecutorCacheReuse:
 
     def test_clear_cache_still_correct(self):
         k = _kernels()["27pt"]
-        ex = Blocking35D(wrap_kernel(k, "numpy-inplace"), 2, 16, 16)
+        ex = Blocking35D(InplaceKernel(k), 2, 16, 16)
         field = Field3D.random((12, 26, 26), dtype=np.float32, seed=6)
         ref = run_naive(k, field, 4)
         assert_fields_equal(ex.run(field, 4), ref)
@@ -262,7 +276,7 @@ class TestAutotuneBackend:
             probe_shape=(8, 24, 24),
             dim_t_candidates=(1, 2),
             tile_candidates=(24,),
-            backend="numpy-inplace",
+            backend="fused-numpy",
         )
         assert cands
         assert all(c.predicted_time_per_update > 0 for c in cands)

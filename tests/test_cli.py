@@ -113,6 +113,13 @@ class TestInfoCommand:
         assert "Core i7" in out
         assert "GTX 285" in out
 
+    def test_info_lists_the_three_rungs(self, capsys):
+        main(["info"])
+        out = capsys.readouterr().out
+        block = out.split("backends:\n", 1)[1].split("packages:", 1)[0]
+        names = [line.split(":")[0].split()[0] for line in block.splitlines()]
+        assert names == ["numpy", "fused-numpy", "codegen"]
+
 
 class TestScheduleCommand:
     def test_renders_schedule(self, capsys):
@@ -146,6 +153,20 @@ class TestResilienceExitCodes:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, env, use", [
+        (["--backend", "numpy-inplace"], None, "fused-numpy"),
+        ([], "fused-numba", "codegen"),
+        (["--backend", "numba"], None, "codegen"),
+    ])
+    def test_removed_backend_is_usage_error(
+        self, monkeypatch, capsys, argv, env, use
+    ):
+        if env is not None:
+            monkeypatch.setenv("REPRO_BACKEND", env)
+        rc = main(self._base + argv)
+        assert rc == 2
+        assert f"was removed; use '{use}'" in capsys.readouterr().err
+
     def test_resume_requires_checkpoint(self, capsys):
         rc = main(self._base + ["--resume"])
         assert rc == 2
@@ -162,7 +183,7 @@ class TestResilienceExitCodes:
         assert rc == 3
         assert "bit-identical" in out
         assert "degraded" in out
-        assert "backend used : numpy-inplace" in out
+        assert "backend used : numpy" in out
 
     def test_no_fallback_fails_with_4(self, capsys):
         from repro.resilience.faultinject import FAULTS

@@ -13,6 +13,7 @@ interpreted — the container has no numba — which exercises the identical
 generated text the JIT would compile.
 """
 
+import importlib.util
 import os
 
 import numpy as np
@@ -50,7 +51,7 @@ from repro.stencils import (
 
 from .conftest import assert_fields_equal
 
-_NUMBA = get_backend("numba").available
+_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 @pytest.fixture(autouse=True)

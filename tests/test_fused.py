@@ -20,12 +20,7 @@ from repro.core.autotune import (
     shape_class,
 )
 from repro.machine import CORE_I7
-from repro.perf.backends import (
-    BackendUnavailableError,
-    backend_names,
-    get_backend,
-    wrap_kernel,
-)
+from repro.perf.backends import backend_availability, backend_names, wrap_kernel
 from repro.runtime import ParallelBlocking35D
 from repro.stencils import (
     Field3D,
@@ -36,8 +31,6 @@ from repro.stencils import (
 from repro.stencils.generic import box_stencil, star_stencil
 
 from .conftest import assert_fields_equal
-
-_NUMBA = get_backend("fused-numba").available
 
 
 def _varco(shape, dtype=np.float32):
@@ -58,24 +51,17 @@ def _kernels(shape):
 
 
 def _fused_backends():
+    """fused-numpy, plus codegen (which extends it) wherever codegen runs."""
     names = ["fused-numpy"]
-    if _NUMBA:  # pragma: no cover - depends on environment
-        names.append("fused-numba")
+    if backend_availability("codegen")[0]:  # pragma: no cover - needs numba
+        names.append("codegen")
     return names
 
 
 class TestRegistry:
     def test_fused_backends_registered(self):
-        assert {"fused-numpy", "fused-numba"} <= set(backend_names())
-        assert get_backend("fused-numpy").available
-
-    def test_fused_numba_unavailable_message_is_actionable(self):
-        b = get_backend("fused-numba")
-        if b.available:  # pragma: no cover - depends on environment
-            pytest.skip("numba installed in this environment")
-        assert "pip install" in b.unavailable_reason
-        with pytest.raises(BackendUnavailableError, match="pip install"):
-            wrap_kernel(SevenPointStencil(), "fused-numba")
+        assert "fused-numpy" in backend_names()
+        assert backend_availability("fused-numpy") == (True, None)
 
     def test_wrapping_preserves_kernel_contract(self):
         k = wrap_kernel(star_stencil(2), "fused-numpy")

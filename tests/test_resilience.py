@@ -57,9 +57,9 @@ def _disarm_faults():
 # ======================================================================
 class TestFaultSpec:
     def test_parse_full_syntax(self):
-        spec = FaultSpec.parse("backend.bind=fused-numba:3@2")
+        spec = FaultSpec.parse("backend.bind=codegen:3@2")
         assert spec.site == "backend.bind"
-        assert spec.arg == "fused-numba"
+        assert spec.arg == "codegen"
         assert spec.times == 3
         assert spec.after == 2
 
@@ -107,7 +107,7 @@ class TestFaultInjector:
     def test_arg_filters_detail(self):
         inj = FaultInjector()
         inj.arm("backend.bind=fused-numpy")
-        assert not inj.should("backend.bind", detail="numpy-inplace")
+        assert not inj.should("backend.bind", detail="numpy")
         assert inj.should("backend.bind", detail="fused-numpy")
 
     def test_fire_raises_typed_fault(self):
@@ -136,17 +136,10 @@ class TestFaultInjector:
 # ======================================================================
 class TestFallbackChain:
     def test_order(self):
+        assert FALLBACK_ORDER == ("codegen", "fused-numpy", "numpy")
         assert fallback_chain("codegen") == list(FALLBACK_ORDER)
-        assert fallback_chain("fused-numba") == [
-            "fused-numba", "fused-numpy", "numpy-inplace", "numpy",
-        ]
-        assert fallback_chain("fused-numpy") == [
-            "fused-numpy", "numpy-inplace", "numpy",
-        ]
+        assert fallback_chain("fused-numpy") == ["fused-numpy", "numpy"]
         assert fallback_chain("numpy") == ["numpy"]
-
-    def test_custom_backend_falls_to_reference(self):
-        assert fallback_chain("weird") == ["weird", "numpy"]
 
     def test_unknown_backend_is_usage_error(self, seven_point, small_field):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -158,18 +151,18 @@ class TestFallbackChain:
                 bound = bind_with_fallback(
                     seven_point, "fused-numpy", probe_field=small_field
                 )
-        assert bound.used == "numpy-inplace"
+        assert bound.used == "numpy"
         assert bound.degraded
         (deg,) = bound.degradations
         assert (deg.stage, deg.backend, deg.fallback) == (
-            "bind", "fused-numpy", "numpy-inplace",
+            "bind", "fused-numpy", "numpy",
         )
 
     def test_first_tile_probe_catches_compute_fault(self, seven_point, small_field):
-        with FAULTS.injected("backend.compute=numpy-inplace"):
+        with FAULTS.injected("backend.compute=fused-numpy"):
             with pytest.warns(DegradedExecutionWarning):
                 bound = bind_with_fallback(
-                    seven_point, "numpy-inplace", probe_field=small_field
+                    seven_point, "fused-numpy", probe_field=small_field
                 )
         assert bound.used == "numpy"
         assert bound.degradations[0].stage == "probe"
@@ -594,7 +587,7 @@ class TestRunReport:
 
     def test_degraded_report_lines(self):
         report = RunReport(
-            requested_backend="fused-numba", used_backend="fused-numpy",
+            requested_backend="codegen", used_backend="fused-numpy",
             retries=2, repairs=1, resumed_from=4, checkpoints_written=3,
         )
         assert report.degraded

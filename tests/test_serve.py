@@ -245,6 +245,25 @@ class TestServeCore:
         wait_terminal(core)
         assert core.drain()
 
+    def test_unknown_and_removed_backends_rejected_at_admission(self, tmp_path):
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        core.start()
+        for name, why in (
+            ("numpy-inplac", "unknown backend 'numpy-inplac'"),
+            ("numpy-inplace", "backend 'numpy-inplace' was removed; "
+                              "use 'fused-numpy'"),
+            (["numpy"], "backend must be a name, not ['numpy']"),
+        ):
+            reply = core.submit({"kernel": "7pt", "grid": 12, "steps": 2,
+                                 "backend": name})
+            assert (reply["ok"], reply["error"]) == (False, "rejected")
+            assert reply["reason"].startswith(f"invalid job: {why}")
+        assert core.counters["rejected"] == 3
+        assert core.jobs() == []
+        assert core.drain()
+        replay = JobJournal(core.journal.path, fsync=False).replay()
+        assert [r["ev"] for r in replay.records] == ["drained"]
+
     def test_deadline_storm_fails_with_reason(self, tmp_path):
         core = ServeCore(tmp_path / "s", workers=1, fsync=False)
         core.start()
