@@ -33,12 +33,10 @@ def test_chaos_soak_bit_exact(benchmark):
             (
                 r.case.seed,
                 "yes" if r.ok else "NO",
-                r.recoveries,
-                r.replayed_rounds,
-                r.comm_retries,
-                r.comm_dropped,
-                r.comm_corrupted,
-                r.comm_delayed,
+                *(r.counts[k] for k in (
+                    "recoveries", "replayed_rounds", "comm_retries",
+                    "comm_dropped", "comm_corrupted", "comm_delayed",
+                )),
                 ", ".join(r.case.specs) or "-",
             )
             for r in results
@@ -47,10 +45,10 @@ def test_chaos_soak_bit_exact(benchmark):
     assert [c.seed for c in cases] == [r.case.seed for r in results]
     for r in results:
         assert r.ok, f"seed {r.case.seed} failed: {r.error or 'bit mismatch'}"
-        assert r.replayed_rounds <= len(r.failed_ranks)
+        assert r.counts["replayed_rounds"] <= len(r.counts["failed_ranks"])
 
-    crashes = sum(r.recoveries for r in results)
-    retries = sum(r.comm_retries for r in results)
+    crashes = sum(r.counts["recoveries"] for r in results)
+    retries = sum(r.counts["comm_retries"] for r in results)
     assert crashes > 0  # the seed range must actually exercise recovery
     record(benchmark, seeds=len(results), recoveries=crashes,
            comm_retries=retries)

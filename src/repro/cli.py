@@ -1003,142 +1003,58 @@ def _cmd_faults() -> int:
     return 0
 
 
-def _chaos_target(args) -> dict:
-    """The ``repro chaos`` row for ``args.target``: what the one seed loop
-    needs to know about a soak (imported lazily, one target per run)."""
-    from functools import partial
-
-    if args.target == "serve":
-        from repro.serve.chaos import (
-            SERVE_SCHEDULES,
-            make_serve_case,
-            run_serve_case,
-        )
-
-        return {
-            "grid": 12, "schedules": SERVE_SCHEDULES, "counts": ("seeds",),
-            "header": f"serve soak   : {args.seeds} seed(s), {args.jobs} "
-                      "jobs of ",
-            "make": partial(make_serve_case, jobs=args.jobs),
-            "run": run_serve_case,
-            "detail": lambda r: (
-                f"{r.accepted} accepted, {r.refused} refused, "
-                f"{r.completed} done, {r.degraded} degraded, "
-                f"{r.failed} failed, {r.recovered} recovered, "
-                f"{r.quarantined_records} quarantined"
-            ),
-            "problems": lambda r: [line for line in (
-                r.error,
-                r.hash_mismatches and f"{r.hash_mismatches} completed "
-                "job(s) differ from the fault-free reference",
-                r.non_terminal and f"{r.non_terminal} accepted job(s) "
-                "never reached a terminal status",
-            ) if line],
-            "bundle": "serve-seed",
-            "clean": "clean (no silent loss, completed jobs bit-exact)",
-        }
-    if args.target == "sdc":
-        from repro.resilience.sdc import (
-            SDC_SCHEDULES,
-            make_sdc_case,
-            run_sdc_case,
-        )
-
-        bitrot = {None: "", True: ", bitrot refused", False: ", BITROT TRUSTED"}
-        return {
-            "grid": 20, "schedules": SDC_SCHEDULES, "counts": ("seeds",),
-            "header": f"sdc soak     : {args.seeds} seed(s), tier "
-                      f"{args.tier}, ",
-            "make": partial(make_sdc_case, tier=args.tier),
-            "run": run_sdc_case,
-            "detail": lambda r: (
-                f"{r.flips_fired} flip(s), {r.detections} detected, "
-                f"{r.heals} healed, {r.replayed_cells} cells replayed, "
-                f"{r.checks} checks{bitrot[r.bitrot_detected]}"
-            ),
-            "problems": _bit_exact_problems,
-            "bundle": "sdc-seed",
-            "clean": "clean (every flip detected, healed runs bit-exact)",
-        }
-    from repro.resilience.chaos import SCHEDULES, make_case, run_case
-
-    return {
-        "grid": 24, "schedules": SCHEDULES, "counts": ("seeds", "ranks"),
-        "header": f"chaos soak   : {args.seeds} seed(s), {args.ranks} "
-                  "ranks, ",
-        "make": partial(make_case, ranks=args.ranks),
-        "run": partial(run_case, trace=args.bundle is not None),
-        "detail": lambda r: (
-            f"{r.recoveries} recoveries, {r.comm_retries} retries, "
-            f"{r.comm_dropped} dropped, {r.comm_corrupted} corrupted, "
-            f"{r.comm_delayed} delayed"
-        ),
-        "problems": _bit_exact_problems,
-        "bundle": "seed",
-        "clean": "bit-exact",
-    }
-
-
-def _bit_exact_problems(result) -> list[str]:
-    """Failure lines of a soak judged bit-exact against a naive oracle."""
-    if result.error:
-        return [result.error]
-    if not result.bit_exact:
-        return ["result differs from the fault-free reference"]
-    return []
-
-
 def _cmd_chaos(args) -> int:
     """Exit codes: 0 all seeds green, 2 usage error, 4 any seed red."""
     from repro.obs import TRACE
-    from repro.resilience.chaos import write_bundle
-
-    target = _chaos_target(args)
-    if args.grid is None:
-        args.grid = target["grid"]
-    known = target["schedules"]
-    schedules = tuple(
-        s.strip()
-        for s in (args.schedules or ",".join(known)).split(",")
-        if s.strip()
+    from repro.resilience.chaos import (
+        TARGETS,
+        check_schedules,
+        make_case,
+        run_case,
+        write_bundle,
     )
-    unknown = set(schedules) - set(known)
-    if unknown:
-        print(
-            f"error: unknown schedule(s) {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(known)}",
-            file=sys.stderr,
+
+    target = TARGETS[args.target]
+    if args.grid is None:
+        args.grid = target.grid
+    try:
+        schedules = check_schedules(
+            args.target, (args.schedules or ",".join(target.schedules))
+            .split(",")
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    counts = target["counts"]
+    counts = ("seeds",) + target.positive
     if any(getattr(args, c) < 1 for c in counts):
         flags = " and ".join(f"--{c}" for c in counts)
         print(f"error: {flags} must be >= 1", file=sys.stderr)
         return 2
 
-    print(f"{target['header']}{args.grid}^3 x {args.steps} steps "
-          f"(dim_T={args.dim_t})")
+    print(f"{target.header.format_map(vars(args))}{args.grid}^3 x "
+          f"{args.steps} steps (dim_T={args.dim_t})")
     print(f"schedules    : {', '.join(schedules)}")
+    knobs = {k: getattr(args, k) for k in target.knobs if hasattr(args, k)}
     failures = 0
     for seed in range(args.seed_base, args.seed_base + args.seeds):
-        case = target["make"](seed, grid=args.grid, steps=args.steps,
-                              dim_t=args.dim_t, schedules=schedules)
-        result = target["run"](case)
+        case = make_case(seed, args.target, grid=args.grid, steps=args.steps,
+                         dim_t=args.dim_t, schedules=schedules, **knobs)
+        result = run_case(case, trace=args.bundle is not None)
         status = "ok" if result.ok else "FAIL"
-        print(f"seed {seed:<4}    : {status} ({target['detail'](result)}) "
-              f"[{case.describe()}]")
+        print(f"seed {seed:<4}    : {status} "
+              f"({target.detail(result.counts)}) [{case.describe()}]")
         if not result.ok:
             failures += 1
-            for line in target["problems"](result):
+            for line in result.problems:
                 print(f"             ! {line}")
             if args.bundle:
-                bundle = write_bundle(result, args.bundle, target["bundle"])
+                bundle = write_bundle(result, args.bundle)
                 print(f"             ! repro bundle: {bundle}")
         TRACE.disarm()
     if failures:
         print(f"verdict      : {failures}/{args.seeds} seed(s) FAILED")
         return 4
-    print(f"verdict      : all {args.seeds} seed(s) {target['clean']}")
+    print(f"verdict      : all {args.seeds} seed(s) {target.clean}")
     return 0
 
 

@@ -17,10 +17,12 @@ sends the *same total volume* in ``1/dim_T`` as many messages — the
 latency-term reduction that distributed temporal blocking exists for
 (Wittmann et al., Section II), which `transfer_time` makes quantitative.
 
-**Comm/compute overlap** (``overlap=True``, the default) takes the rest of
-the win: the round becomes *post → interior → wait → boundary*.  Every
-rank posts its halo sends and receives up front (``isend``/``irecv``),
-then immediately runs the blocked round on the *interior* of its slab —
+Every round runs through the nonblocking handles: every rank posts its
+halo sends and receives up front (``isend``/``irecv``), and each rank
+then waits on its ghost planes and computes.  **Comm/compute overlap**
+(``overlap=True``, the default) takes the rest of the win: the round
+becomes *post → interior → wait → boundary*.  Each rank first runs the
+blocked round on the *interior* of its slab —
 the part :func:`repro.core.regions.split_slab` proves computable from
 owned planes alone (pulled in by ``h`` per cut side; physical boundaries
 don't shrink).  Only then does it ``wait`` on the ghost planes and finish
@@ -28,11 +30,11 @@ the two boundary strips.  The interior sweep's wall time is reported to
 the communicator's simulated clock, so the transfer time it covers is
 counted as *hidden* (``CommStats.overlapped_ns``) and only the remainder
 as an exposed stall — measured, not assumed.  Results are bit-identical
-to the exchange-then-compute schedule (and hence to the naive oracle): the
+to the post → wait → compute schedule (and hence to the naive oracle): the
 interior planes satisfy the same depth induction, and each strip's extent
-lands entirely inside owned ∪ ghost planes.  A slab too thin to leave an
-interior falls back to the fused schedule for that rank, still through
-the nonblocking handles.
+lands entirely inside owned ∪ ghost planes.  ``overlap=False``, and a
+slab too thin to leave an interior, take that post → wait → compute
+schedule for the whole slab.
 
 The driver is also **rank-failure tolerant** (``recover=True``).  Each
 round starts with a buddy checkpoint — every rank replicates its
@@ -61,8 +63,8 @@ import time
 import numpy as np
 
 from ..core.blocking35d import Blocking35D
-from ..core.naive import naive_sweep, run_naive
-from ..core.regions import loaded_extent, split_slab
+from ..core.naive import run_naive
+from ..core.regions import split_slab
 from ..core.traffic import TrafficStats
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACE
@@ -75,15 +77,15 @@ from ..resilience.rankrecovery import (
     buddy_of,
 )
 from ..resilience.sdc import (
-    INTEGRITY_TIERS,
     SdcError,
+    SdcGuard,
     SdcReport,
     SdcUnhealableError,
     inject_flips,
     plane_crcs,
 )
 from ..stencils.base import PlaneKernel
-from ..stencils.grid import Field3D, copy_shell
+from ..stencils.grid import Field3D
 from .comm import SimComm
 from .decompose import Slab, decompose_z
 
@@ -117,23 +119,24 @@ class DistributedJacobi:
     overlap:
         When True (default), each round runs post → interior → wait →
         boundary, hiding in-flight transfer time behind the interior
-        sweep; when False, the classic exchange-then-compute schedule.
-        Both produce bit-identical results.
+        sweep; when False, post → wait → compute.  Both produce
+        bit-identical results.
     latency_s / bandwidth_bytes_s:
         The communicator's in-flight cost model (see :class:`SimComm`);
         with the default ``latency_s=0`` transfers are instantaneous and
         the hidden/exposed accounting stays zero.
     integrity:
         Silent-data-corruption tier (``off``/``spot``/``seal``/``full``,
-        see :mod:`repro.resilience.sdc`).  Any active tier CRC-seals
-        every rank's slab planes at the end of each round and verifies
-        them at the top of the next — *before* the buddy checkpoint, so
-        the snapshots stay clean — healing detected planes by replaying
-        their ``R * round_t`` propagation cone from the previous round's
-        buddy snapshots (the in-memory "last sealed state").  ``seal``
-        and ``full`` additionally run the cross-rank halo handshake:
-        each received ghost plane is checksummed against the sender's
-        *seal-time* CRC, catching compute-side corruption of the
+        see :mod:`repro.resilience.sdc`).  Any active tier seals the
+        gathered grid through an :class:`SdcGuard` (:attr:`sdc`) at the
+        end of each round and verifies it at the top of the next —
+        *before* the buddy checkpoint, so the snapshots stay clean — and
+        the guard heals detected planes by replaying their propagation
+        cone from the previous round's buddy snapshots (the in-memory
+        "last sealed state").  ``seal`` and ``full`` additionally run the
+        cross-rank halo handshake: each received ghost plane is
+        checksummed against the guard's *seal-time* CRC, catching
+        compute-side corruption of the
         boundary planes — distinct from the transport CRC inside
         :class:`SimComm`, which only covers the wire.  The
         ``memory.flip`` fault site fires per rank per round (detail
@@ -165,11 +168,10 @@ class DistributedJacobi:
             raise ValueError(f"unknown scheme {scheme!r}")
         if dim_t < 1:
             raise ValueError("dim_t must be >= 1")
-        if integrity not in INTEGRITY_TIERS:
-            raise ValueError(
-                f"unknown integrity tier {integrity!r}; known: "
-                f"{', '.join(INTEGRITY_TIERS)}"
-            )
+        #: the run's seal/verify/heal guard (validates the tier)
+        self.sdc = SdcGuard(
+            kernel, tier=integrity, seed=sdc_seed, max_heals=sdc_max_heals
+        )
         self.kernel = kernel
         self.n_ranks = n_ranks
         self.dim_t = dim_t
@@ -188,11 +190,7 @@ class DistributedJacobi:
         self.bandwidth_bytes_s = bandwidth_bytes_s
         self.integrity = integrity
         self.sdc_seed = sdc_seed
-        self.sdc_max_heals = sdc_max_heals
-        self.sdc_report = SdcReport(tier=integrity)
-        #: per-rank seal-time plane CRCs of the previous round's output
-        #: (None until the first round seals, and after any recovery)
-        self._seals: dict[int, list[int]] | None = None
+        self.sdc_report = self.sdc.report
         self.recovery = RecoveryReport(initial_ranks=n_ranks,
                                        final_ranks=n_ranks)
 
@@ -228,9 +226,9 @@ class DistributedJacobi:
         report = RecoveryReport(initial_ranks=self.n_ranks,
                                 final_ranks=self.n_ranks)
         self.recovery = report
-        sdc = SdcReport(tier=self.integrity)
-        self.sdc_report = sdc
-        self._seals = None
+        guard = self.sdc
+        guard.report = self.sdc_report = SdcReport(tier=self.integrity)
+        guard.invalidate()
         # cone height of a seal-to-verify window = steps of the round that
         # produced the sealed state (the final round may be shorter)
         last_round_t = self.dim_t
@@ -241,14 +239,13 @@ class DistributedJacobi:
             round_index = 0
             while remaining > 0:
                 round_t = min(self.dim_t, remaining)
-                if self._seals is not None:
-                    # verify BEFORE the buddy checkpoint refreshes: the
-                    # snapshots are the trusted base the heal replays from,
-                    # and must stay the previous round's clean start state
-                    self._sdc_verify(
-                        slabs, local, comm, buddies, last_round_t,
-                        field.nz, steps - remaining,
-                    )
+                # verify BEFORE the buddy checkpoint refreshes: the
+                # snapshots are the trusted base the heal replays from, and
+                # must stay the previous round's clean start state
+                self._verify_seals(
+                    slabs, local, comm, buddies, steps - remaining,
+                    last_round_t,
+                )
                 if self.recover and len(live) > 1:
                     self._buddy_checkpoint(
                         live, slabs, local, buddies, round_index
@@ -263,15 +260,9 @@ class DistributedJacobi:
                 try:
                     with TRACE.span("round", index=round_index,
                                     round_t=round_t, ranks=len(live)):
-                        if self.overlap:
-                            self._exchange_and_compute_overlap(
-                                slabs, local, comm, round_t, traffic,
-                                field.nz,
-                            )
-                        else:
-                            self._exchange_and_compute(
-                                slabs, local, comm, round_t, traffic
-                            )
+                        self._run_round(
+                            slabs, local, comm, round_t, traffic, field.nz
+                        )
                 except RankDeadError:
                     if not self.recover:
                         raise
@@ -281,13 +272,10 @@ class DistributedJacobi:
                     )
                     # the replayed round rebinds every slab; the old seals
                     # describe state that no longer exists
-                    self._seals = None
+                    guard.invalidate()
                     continue  # replay the interrupted round
-                if self.integrity != "off":
-                    self._seals = {
-                        s.rank: plane_crcs(local[s.rank]) for s in slabs
-                    }
-                    sdc.sealed_planes += field.nz
+                if guard.active:
+                    guard.seal(_gather(slabs, local))
                     last_round_t = round_t
                     for s in slabs:
                         # the memory.flip probe fires per rank per round,
@@ -298,19 +286,15 @@ class DistributedJacobi:
                         )
                 remaining -= round_t
                 round_index += 1
-            if self._seals is not None:
-                # flips landing after the final seal stay in-window
-                self._sdc_verify(
-                    slabs, local, comm, buddies, last_round_t,
-                    field.nz, steps,
-                )
+            # flips landing after the final seal stay in-window
+            self._verify_seals(
+                slabs, local, comm, buddies, steps, last_round_t
+            )
 
         report.buddy_bytes = buddies.bytes_replicated
         report.buddy_snapshots = buddies.snapshots
         report.final_ranks = len(live)
-        gathered = Field3D(
-            np.concatenate([local[s.rank] for s in slabs], axis=1)
-        )
+        gathered = _gather(slabs, local)
         assert comm.pending() == 0
         if METRICS.armed:
             METRICS.merge_comm(comm)
@@ -402,131 +386,67 @@ class DistributedJacobi:
         return survivors, new_slabs, new_local
 
     # ------------------------------------------------------------------
-    def _sdc_verify(
+    def _verify_seals(
         self,
         slabs: list[Slab],
         local: dict[int, np.ndarray],
         comm: SimComm,
         buddies: BuddyStore,
-        round_t: int,
-        nz: int,
         done: int,
+        round_t: int,
     ) -> None:
-        """Verify every slab against the previous round's seals; cone-heal.
+        """Verify the gathered grid against the guard's seals; heal through it.
 
         Mismatching planes are resting corruption of the previous round's
-        output.  The heal replays their ``R * round_t`` propagation cone
-        through the naive reference rung from the round-start global state
-        still held by the buddy snapshots (the caller runs this *before*
-        :meth:`_buddy_checkpoint` refreshes them), patches only the
-        corrupted span, and re-verifies against the seals — bit-exact or
-        :class:`SdcUnhealableError`.
+        output.  The guard replays their propagation cone from the trusted
+        base: the round-start global state still held by the buddy
+        snapshots (the caller runs this *before* :meth:`_buddy_checkpoint`
+        refreshes them), restored only when a heal needs it.  Healed
+        planes are scattered back into the slabs.
         """
-        report = self.sdc_report
-        report.checks += 1
-        if METRICS.armed:
-            METRICS.inc("sdc.checks", 1)
-        bad: list[int] = []  # corrupted planes, global z coordinates
-        for s in slabs:
-            sealed = self._seals.get(s.rank) if self._seals else None
-            if sealed is None:
-                continue
-            crcs = plane_crcs(local[s.rank])
-            bad.extend(
-                s.z0 + z
-                for z, (a, b) in enumerate(zip(crcs, sealed))
-                if a != b
-            )
-        if not bad:
+        guard = self.sdc
+        if guard.seals is None:
             return
-        bad.sort()
-        report.detections += 1
-        report.detected_planes += len(bad)
-        report.detected_at.append(done)
-        if METRICS.armed:
-            METRICS.inc("sdc.detected", 1)
-        with TRACE.span("sdc_detected", channel="seal", step=done,
-                        planes=len(bad)):
-            pass
-        if report.heals >= self.sdc_max_heals:
-            report.unhealable += 1
-            raise SdcUnhealableError(
-                f"corruption detected at step {done} but the heal budget "
-                f"({self.sdc_max_heals}) is exhausted — persistent "
-                "corruption, restart on trusted hardware"
-            )
-        if not (self.recover and len(slabs) > 1 and buddies.snapshots):
-            report.unhealable += 1
-            raise SdcUnhealableError(
-                f"corruption detected at step {done} but there is no "
-                "trusted base to heal from — buddy snapshots need "
-                "recover=True and at least two live ranks"
-            )
-        # round-start global state, slab by slab from the buddy store
-        # (digest-verified at restore), then one cone replay patched back
-        base = np.concatenate(
-            [buddies.restore(s.rank, comm.alive).data for s in slabs],
-            axis=1,
-        )
-        z0, z1 = bad[0], bad[-1] + 1
-        h = self.kernel.radius * round_t
-        e0, e1 = loaded_extent((z0, z1), nz, h)
-        ny, nx = base.shape[2], base.shape[3]
-        with TRACE.span("sdc_heal", step=done, planes=len(bad), z0=z0,
-                        z1=z1, extent=e1 - e0, replay_steps=round_t):
-            sub = Field3D(np.ascontiguousarray(base[:, e0:e1]))
-            out = run_naive(
-                self.kernel.restricted_to(e0, e1), sub, round_t
-            )
-            for s in slabs:
-                lo, hi = max(s.z0, z0), min(s.z1, z1)
-                if lo < hi:
-                    local[s.rank][:, lo - s.z0 : hi - s.z0] = \
-                        out.data[:, lo - e0 : hi - e0]
-        report.heals += 1
-        cells = (e1 - e0) * ny * nx * round_t
-        report.replayed_cells += cells
-        if METRICS.armed:
-            METRICS.inc("sdc.healed", 1)
-            METRICS.inc("sdc.replayed_cells", cells)
-        for s in slabs:
-            sealed = self._seals.get(s.rank) if self._seals else None
-            if sealed is None:
-                continue
-            crcs = plane_crcs(local[s.rank])
-            still = [
-                s.z0 + z
-                for z, (a, b) in enumerate(zip(crcs, sealed))
-                if a != b
-            ]
-            if still:
-                report.unhealable += 1
+
+        def base() -> Field3D:
+            if not (self.recover and len(slabs) > 1 and buddies.snapshots):
+                guard.report.unhealable += 1
                 raise SdcUnhealableError(
-                    f"plane(s) {still} still fail seal verification after "
-                    "a surgical heal — the sealed state itself was corrupt"
+                    f"corruption detected at step {done} but there is no "
+                    "trusted base to heal from — buddy snapshots need "
+                    "recover=True and at least two live ranks"
                 )
+            # digest-verified at restore
+            return _gather(slabs, {
+                s.rank: buddies.restore(s.rank, comm.alive).data
+                for s in slabs
+            })
+
+        state = _gather(slabs, local)
+        heals = guard.report.heals
+        guard.verify_seals(state, done, base, done - round_t)
+        if guard.report.heals > heals:
+            for s in slabs:
+                local[s.rank] = state.data[:, s.z0 : s.z1].copy()
 
     def _sdc_handshake(self, ghost: np.ndarray, sender: int,
-                       edge: str) -> None:
+                       z0: int) -> None:
         """Cross-rank halo handshake (``seal``/``full`` tiers).
 
-        The received ghost planes must reproduce the *seal-time* CRCs of
-        the sender's boundary (``edge="tail"`` for its last ``h`` planes,
-        ``"head"`` for its first ``h``) — compute-side corruption of the
-        boundary planes is caught at the receiver, which the transport CRC
-        inside :class:`SimComm` (wire coverage only) cannot see.
+        The received ghost planes are global planes ``z0 ..`` of the
+        sender's slab and must reproduce the guard's *seal-time* CRCs of
+        them — compute-side corruption of the boundary planes is caught at
+        the receiver, which the transport CRC inside :class:`SimComm`
+        (wire coverage only) cannot see.
         """
-        if self.integrity not in ("seal", "full") or self._seals is None:
-            return
-        sealed = self._seals.get(sender)
-        h = ghost.shape[1]
-        if sealed is None or len(sealed) < h:
+        seals = self.sdc.seals
+        if self.integrity not in ("seal", "full") or seals is None:
             return
         report = self.sdc_report
         report.checks += 1
         if METRICS.armed:
             METRICS.inc("sdc.checks", 1)
-        expect = sealed[-h:] if edge == "tail" else sealed[:h]
+        expect = seals[z0 : z0 + ghost.shape[1]]
         got = plane_crcs(ghost)
         bad = [i for i, (a, b) in enumerate(zip(got, expect)) if a != b]
         if not bad:
@@ -545,56 +465,7 @@ class DistributedJacobi:
         )
 
     # ------------------------------------------------------------------
-    def _exchange_and_compute(
-        self,
-        slabs: list[Slab],
-        local: dict[int, np.ndarray],
-        comm: SimComm,
-        round_t: int,
-        traffic: TrafficStats | None,
-    ) -> None:
-        r = self.kernel.radius
-        h = r * round_t
-        # phase A: every live rank posts its boundary planes (a dead rank
-        # posts nothing — that silence is what its neighbors detect)
-        with TRACE.span("halo_exchange", phase="send", halo=h):
-            for s in slabs:
-                if not comm.alive(s.rank):
-                    continue
-                if s.hi_neighbor is not None:
-                    comm.send(s.rank, s.hi_neighbor, _TAG_UP,
-                              local[s.rank][:, -h:])
-                if s.lo_neighbor is not None:
-                    comm.send(s.rank, s.lo_neighbor, _TAG_DOWN,
-                              local[s.rank][:, :h])
-        # phase B: every rank assembles its augmented slab and computes;
-        # a receive from a dead neighbor raises RankDeadError (detection)
-        for s in slabs:
-            if not comm.alive(s.rank):
-                continue
-            parts = []
-            zlo = s.z0
-            with TRACE.span("halo_exchange", phase="recv", rank=s.rank):
-                if s.lo_neighbor is not None:
-                    ghost = comm.recv(s.lo_neighbor, s.rank, _TAG_UP)
-                    self._sdc_handshake(ghost, s.lo_neighbor, "tail")
-                    parts.append(ghost)
-                    zlo = s.z0 - h
-                parts.append(local[s.rank])
-                zhi = s.z1
-                if s.hi_neighbor is not None:
-                    ghost = comm.recv(s.hi_neighbor, s.rank, _TAG_DOWN)
-                    self._sdc_handshake(ghost, s.hi_neighbor, "head")
-                    parts.append(ghost)
-                    zhi = s.z1 + h
-            with TRACE.span("rank_compute", rank=s.rank):
-                aug = Field3D(np.concatenate(parts, axis=1))
-                out = self._advance_local(aug, zlo, zhi, round_t, traffic)
-                lo_off = s.z0 - zlo
-                local[s.rank] = out.data[:, lo_off : lo_off + s.owned].copy()
-
-    # ------------------------------------------------------------------
-    def _exchange_and_compute_overlap(
+    def _run_round(
         self,
         slabs: list[Slab],
         local: dict[int, np.ndarray],
@@ -603,16 +474,16 @@ class DistributedJacobi:
         traffic: TrafficStats | None,
         nz: int,
     ) -> None:
-        """One overlapped round: post → interior → wait → boundary.
+        """One round: post → interior → wait → boundary (overlap on).
 
         Every live rank posts its halo sends *and* receives before anyone
-        computes, then each rank runs the blocked round on its slab
-        interior (owned planes only, so no ghost needed), reports that
-        sweep's wall time to the communicator's clock, waits on the ghost
-        planes (``halo_wait`` — the failure-detection point of the overlap
-        path), and finishes the two boundary strips.  A slab too thin to
-        leave an interior falls back to the fused schedule through the
-        same handles.
+        computes.  With ``overlap`` each rank then runs the blocked round
+        on its slab interior (owned planes only, so no ghost needed),
+        reports that sweep's wall time to the communicator's clock, waits
+        on the ghost planes (``halo_wait`` — the failure-detection point),
+        and finishes the two boundary strips.  Without ``overlap``, and
+        for a slab too thin to leave an interior, the rank waits first and
+        computes its whole ghost-augmented slab.
         """
         r = self.kernel.radius
         h = r * round_t
@@ -641,7 +512,8 @@ class DistributedJacobi:
                 continue
             lo_req, hi_req = recvs[s.rank]
             split = split_slab(s.z0, s.z1, nz, h, s.lo_cut, s.hi_cut)
-            if split.interior is None or s.owned < 2 * r + 1:
+            if (not self.overlap or split.interior is None
+                    or s.owned < 2 * r + 1):
                 self._compute_fused_from_handles(
                     s, local, comm, lo_req, hi_req, h, round_t, traffic
                 )
@@ -660,9 +532,10 @@ class DistributedJacobi:
                 lo_ghost = comm.wait(lo_req) if lo_req is not None else None
                 hi_ghost = comm.wait(hi_req) if hi_req is not None else None
             if lo_ghost is not None:
-                self._sdc_handshake(lo_ghost, s.lo_neighbor, "tail")
+                self._sdc_handshake(lo_ghost, s.lo_neighbor,
+                                    s.z0 - lo_ghost.shape[1])
             if hi_ghost is not None:
-                self._sdc_handshake(hi_ghost, s.hi_neighbor, "head")
+                self._sdc_handshake(hi_ghost, s.hi_neighbor, s.z1)
             with TRACE.span("rank_compute", rank=s.rank, phase="boundary"):
                 if split.lo_strip is not None:
                     self._compute_strip(out, split.lo_strip, s, local,
@@ -710,24 +583,27 @@ class DistributedJacobi:
         round_t: int,
         traffic: TrafficStats | None,
     ) -> None:
-        """Fused fallback for slabs with no interior: wait, then compute.
+        """Wait, then compute the whole ghost-augmented slab.
 
-        No compute ran between post and wait, so the transfer time of
-        these ghosts is fully exposed — correctly so, nothing was hidden.
+        The no-overlap schedule, and the fallback for slabs with no
+        interior.  No compute ran between post and wait, so the transfer
+        time of these ghosts is fully exposed — correctly so, nothing was
+        hidden.
         """
         parts = []
         zlo = s.z0
-        with TRACE.span("halo_wait", rank=s.rank, fallback="thin-slab"):
+        with TRACE.span("halo_wait", rank=s.rank,
+                        fallback="thin-slab" if self.overlap else "no-overlap"):
             if lo_req is not None:
                 ghost = comm.wait(lo_req)
-                self._sdc_handshake(ghost, s.lo_neighbor, "tail")
+                self._sdc_handshake(ghost, s.lo_neighbor, s.z0 - h)
                 parts.append(ghost)
                 zlo = s.z0 - h
             parts.append(local[s.rank])
             zhi = s.z1
             if hi_req is not None:
                 ghost = comm.wait(hi_req)
-                self._sdc_handshake(ghost, s.hi_neighbor, "head")
+                self._sdc_handshake(ghost, s.hi_neighbor, s.z1)
                 parts.append(ghost)
                 zhi = s.z1 + h
         with TRACE.span("rank_compute", rank=s.rank, phase="fused"):
@@ -750,13 +626,7 @@ class DistributedJacobi:
             tx = self.tile_x or aug.nx
             ex = Blocking35D(kernel, dim_t=round_t, tile_y=ty, tile_x=tx)
             return ex.run(aug, round_t, traffic)
-        src = aug.copy()
-        dst = aug.like()
-        copy_shell(src, dst, kernel.radius)
-        for _ in range(round_t):
-            naive_sweep(kernel, src, dst, traffic)
-            src, dst = dst, src
-        return src
+        return run_naive(kernel, aug, round_t, traffic)
 
     # ------------------------------------------------------------------
     def expected_messages(self, nz: int, steps: int) -> int:
@@ -774,3 +644,8 @@ class DistributedJacobi:
         if rem:
             total += 2 * (self.n_ranks - 1) * r * rem * plane
         return total
+
+
+def _gather(slabs: list[Slab], parts: dict[int, np.ndarray]) -> Field3D:
+    """The global grid: the ranks' slab arrays concatenated along Z."""
+    return Field3D(np.concatenate([parts[s.rank] for s in slabs], axis=1))

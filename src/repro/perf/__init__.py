@@ -22,14 +22,7 @@ from .codegen import (
     generate_sweep_source,
     plan_hash,
 )
-from .breakdown import (
-    MeasuredPhase,
-    Stage,
-    breakdown_7pt_gpu,
-    breakdown_lbm_cpu,
-    measured_breakdown,
-    measured_phases,
-)
+from .breakdown import Stage, breakdown_7pt_gpu, breakdown_lbm_cpu
 from .calibration import CPU_CAL, GPU_CAL, CpuCalibration, GpuCalibration
 from .comparisons import Comparison, section_viid_comparisons
 from .kernels import KERNELS, LBM_D3Q19, SEVEN_POINT, TWENTY_SEVEN_POINT, KernelModel
@@ -41,7 +34,7 @@ from .model import (
     predict_lbm_cpu,
     predict_lbm_gpu,
 )
-from .report import format_comparisons, format_phases, format_stages, format_table
+from .report import format_comparisons, format_stages, format_table
 
 __all__ = [
     "KernelModel",
@@ -62,10 +55,6 @@ __all__ = [
     "Stage",
     "breakdown_lbm_cpu",
     "breakdown_7pt_gpu",
-    "MeasuredPhase",
-    "measured_phases",
-    "measured_breakdown",
-    "format_phases",
     "Comparison",
     "section_viid_comparisons",
     "format_table",

@@ -1,14 +1,10 @@
-"""Optimization-breakdown series (regenerates Figure 5) and measured phases.
+"""Optimization-breakdown series (regenerates Figure 5).
 
 Figure 5 shows the cumulative effect of applying each optimization in
 sequence.  Each stage entry pairs the model's prediction with the paper's
-reported bar so benches and EXPERIMENTS.md can show both.
-
-:func:`measured_breakdown` is the *measured* counterpart: it arms the span
-tracer of :mod:`repro.obs`, executes a real sweep, and reports per-phase
-times from ``perf_counter_ns`` spans — sweep/round/tile/z_iter self-times
-that nest correctly and sum to the sweep wall time, instead of ad-hoc
-wall-clock deltas around arbitrary code regions.
+reported bar so benches and EXPERIMENTS.md can show both.  The *measured*
+counterpart is ``repro trace`` (:func:`repro.obs.export.summarize_trace`):
+per-span self-times of a real traced run.
 """
 
 from __future__ import annotations
@@ -27,9 +23,6 @@ __all__ = [
     "Stage",
     "breakdown_lbm_cpu",
     "breakdown_7pt_gpu",
-    "MeasuredPhase",
-    "measured_phases",
-    "measured_breakdown",
 ]
 
 
@@ -137,65 +130,3 @@ def breakdown_7pt_gpu(
             "multiple updates per thread: fewer index/branch instructions",
         ),
     ]
-
-
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MeasuredPhase:
-    """One span name's aggregate over a traced run (perf_counter_ns based).
-
-    ``self_ns`` excludes time attributed to nested child spans, so phase
-    self-times are disjoint and sum to (at most) the traced wall time.
-    """
-
-    name: str
-    count: int
-    total_ns: int
-    self_ns: int
-    fraction: float  # of the summed self time across all phases
-
-    @property
-    def total_ms(self) -> float:
-        return self.total_ns / 1e6
-
-    @property
-    def self_ms(self) -> float:
-        return self.self_ns / 1e6
-
-
-def measured_phases(events) -> list[MeasuredPhase]:
-    """Aggregate recorded spans into per-phase times, largest self first."""
-    from ..obs.export import aggregate_spans
-
-    agg = aggregate_spans(events)
-    total_self = sum(e["self_ns"] for e in agg.values()) or 1
-    return [
-        MeasuredPhase(
-            name=name,
-            count=int(e["count"]),
-            total_ns=int(e["total_ns"]),
-            self_ns=int(e["self_ns"]),
-            fraction=e["self_ns"] / total_self,
-        )
-        for name, e in sorted(agg.items(), key=lambda kv: -kv[1]["self_ns"])
-    ]
-
-
-def measured_breakdown(executor, field, steps: int, traffic=None) -> list[MeasuredPhase]:
-    """Run ``executor`` once under an armed tracer; return its phase times.
-
-    Arms (and therefore resets) the global tracer for the duration of the
-    run; the tracer is returned to its previous armed/disarmed state, but
-    previously recorded spans are discarded.
-    """
-    from ..obs.trace import TRACE
-
-    was_armed = TRACE.armed
-    TRACE.arm()
-    try:
-        executor.run(field, steps, traffic)
-        events = TRACE.events()
-    finally:
-        if not was_armed:
-            TRACE.disarm()
-    return measured_phases(events)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-__all__ = ["format_table", "format_stages", "format_comparisons", "format_phases"]
+__all__ = ["format_table", "format_stages", "format_comparisons"]
 
 
 def format_table(
@@ -60,21 +60,4 @@ def format_comparisons(rows, title: str = "") -> str:
         ["comparison", "prior (norm.)", "ours (model)", "speedup", "paper"],
         table,
         title,
-    )
-
-
-def format_phases(phases, title: str = "") -> str:
-    """Render measured per-phase span times (see breakdown.measured_phases)."""
-    rows = [
-        (
-            p.name,
-            str(p.count),
-            f"{p.total_ms:.2f}",
-            f"{p.self_ms:.2f}",
-            f"{100 * p.fraction:.1f}%",
-        )
-        for p in phases
-    ]
-    return format_table(
-        ["phase", "count", "total ms", "self ms", "self %"], rows, title
     )

@@ -18,8 +18,9 @@ drops that assumption:
 * :mod:`~repro.resilience.rankrecovery` — rank-failure tolerance for the
   distributed driver: in-memory buddy checkpoints, elastic
   re-decomposition over the survivors, at most one replayed round;
-* :mod:`~repro.resilience.chaos` — the seeded chaos soak harness
-  (randomized crash/loss/corruption/delay schedules, bit-exact oracle);
+* :mod:`~repro.resilience.chaos` — the seeded chaos soak harness: one
+  case/result core and a per-target table (distributed, serve, sdc),
+  judged against a fault-free naive oracle;
 * :mod:`~repro.resilience.sdc` — silent-data-corruption defense:
   per-plane CRC seals, re-execution spot checks through the naive rung,
   and surgical cone-bounded healing (integrity tiers
@@ -34,7 +35,7 @@ See ``docs/robustness.md`` for the full contract.
 """
 
 from .chaos import (
-    SCHEDULES,
+    TARGETS,
     ChaosCase,
     ChaosResult,
     make_case,
@@ -83,9 +84,6 @@ from .rankrecovery import (
 from .report import RunReport
 from .sdc import (
     INTEGRITY_TIERS,
-    SDC_SCHEDULES,
-    SdcChaosCase,
-    SdcChaosResult,
     SdcError,
     SdcGuard,
     SdcReport,
@@ -93,10 +91,8 @@ from .sdc import (
     data_digest,
     flip_bits,
     inject_flips,
-    make_sdc_case,
     plane_crcs,
     rot_file,
-    run_sdc_case,
 )
 from .watchdog import (
     GuardedSweep,
@@ -114,9 +110,8 @@ __all__ = [
     "INTEGRITY_TIERS",
     "REPRO_CORRUPT_KEEP_ENV",
     "REPRO_FAULTS_ENV",
-    "SCHEDULES",
-    "SDC_SCHEDULES",
     "SITES",
+    "TARGETS",
     "FALLBACK_ORDER",
     "BoundBackend",
     "BuddySnapshot",
@@ -139,8 +134,6 @@ __all__ = [
     "RecoveryReport",
     "ResilienceError",
     "RunReport",
-    "SdcChaosCase",
-    "SdcChaosResult",
     "SdcError",
     "SdcGuard",
     "SdcReport",
@@ -158,11 +151,9 @@ __all__ = [
     "grid_is_finite",
     "inject_flips",
     "make_case",
-    "make_sdc_case",
     "plane_crcs",
     "quarantine",
     "rot_file",
     "run_case",
-    "run_sdc_case",
     "write_bundle",
 ]

@@ -46,18 +46,16 @@ Integrity tiers (``JobSpec.integrity`` / ``repro run --verify``):
 
 The ``memory.flip`` fault site injects flips (``site=rank:round`` detail
 grammar, budget = bit count); ``disk.bitrot`` rots a checkpoint payload
-after it is fsynced.  :func:`run_sdc_case` drives a seeded flip/bitrot
-schedule through a guarded run (``repro chaos --target sdc`` loops it
-over seeds) and judges *no silent corruption*: every
-in-window flip detected, every healed run bit-identical to the fault-free
-oracle.
+after it is fsynced.  ``repro chaos --target sdc``
+(:mod:`repro.resilience.chaos`) drives seeded flip/bitrot schedules
+through a guarded run and judges *no silent corruption*: every in-window
+flip detected, every healed run bit-identical to the fault-free oracle.
 """
 
 from __future__ import annotations
 
-import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +70,6 @@ from .faultinject import FAULTS, ResilienceError
 __all__ = [
     "INTEGRITY_TIERS",
     "MAX_FLIPS_PER_PROBE",
-    "SDC_SCHEDULES",
-    "SdcChaosCase",
-    "SdcChaosResult",
     "SdcError",
     "SdcGuard",
     "SdcReport",
@@ -82,10 +77,8 @@ __all__ = [
     "data_digest",
     "flip_bits",
     "inject_flips",
-    "make_sdc_case",
     "plane_crcs",
     "rot_file",
-    "run_sdc_case",
 ]
 
 #: the integrity ladder, weakest to strongest
@@ -94,9 +87,6 @@ INTEGRITY_TIERS = ("off", "spot", "seal", "full")
 #: cap on bits flipped per probe point, so ``memory.flip:*`` (unlimited
 #: budget) means "flip at every probe", not an unbounded drain loop
 MAX_FLIPS_PER_PROBE = 64
-
-#: fault families the SDC chaos schedule generator knows how to draw
-SDC_SCHEDULES = ("flip", "bitrot")
 
 
 class SdcError(ResilienceError):
@@ -268,7 +258,10 @@ class SdcGuard:
     The caller owns the trusted base (its last verified
     ``(good_state, good_done)`` pair — which by construction is refreshed
     *before* any corruption window opens) and drives three hooks per
-    round:
+    round.  ``good`` may also be a zero-argument callable returning the
+    base: it is called only when a heal needs the base, so a caller whose
+    base is costly to assemble (the distributed driver restores it from
+    the buddy snapshots) pays nothing on clean rounds.
 
     ``verify_seals(state, done, good, good_done)``
         compare the grid against the CRC seals taken after the previous
@@ -324,6 +317,11 @@ class SdcGuard:
     @property
     def active(self) -> bool:
         return self.tier != "off"
+
+    @property
+    def seals(self) -> list[int] | None:
+        """Per-plane CRCs of the last :meth:`seal` (None before it)."""
+        return self._seals
 
     def invalidate(self) -> None:
         """Drop the seals (after a rollback/recovery rebinds the state)."""
@@ -481,6 +479,8 @@ class SdcGuard:
                 f"corruption detected at step {done} with no trusted base "
                 f"at or before it (base is at step {good_done})"
             )
+        if callable(good):
+            good = good()
         nz, ny, nx = state.shape
         z0, z1 = min(planes), max(planes) + 1
         e0, e1 = self._extent((z0, z1), nz, s) if s else (z0, z1)
@@ -524,196 +524,3 @@ class SdcGuard:
     def _inc(counter: str, amount: int) -> None:
         if METRICS.armed and amount:
             METRICS.inc(counter, amount)
-
-
-# ----------------------------------------------------------------------
-# seeded chaos: flip/bitrot schedules, no-silent-corruption judgment
-# ----------------------------------------------------------------------
-
-@dataclass
-class SdcChaosCase:
-    """One seeded SDC soak iteration: run shape plus its fault schedule."""
-
-    seed: int
-    grid: int
-    steps: int
-    dim_t: int
-    tier: str
-    specs: list[str] = field(default_factory=list)
-    #: rounds at which flip probes fire (every one is in-window: the
-    #: guard's final seal verify covers flips after the last round)
-    flip_rounds: list[int] = field(default_factory=list)
-    bitrot: bool = False
-
-    def describe(self) -> str:
-        faults = ", ".join(self.specs) if self.specs else "no injected faults"
-        return (
-            f"seed {self.seed}: {self.grid}^3 x {self.steps} steps "
-            f"(dim_T={self.dim_t}), tier {self.tier}; {faults}"
-        )
-
-
-@dataclass
-class SdcChaosResult:
-    """Outcome of one SDC soak iteration."""
-
-    case: SdcChaosCase
-    ok: bool
-    bit_exact: bool
-    error: str | None
-    flips_fired: int
-    flip_rounds_fired: int
-    detections: int
-    heals: int
-    replayed_cells: int
-    checks: int
-    #: None when the schedule drew no bitrot; else "did the store refuse
-    #: the rotted snapshot instead of silently restoring it"
-    bitrot_detected: bool | None
-    elapsed_s: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)  # recurses into the case
-
-
-def make_sdc_case(
-    seed: int,
-    *,
-    grid: int = 20,
-    steps: int = 8,
-    dim_t: int = 2,
-    tier: str = "full",
-    schedules: tuple[str, ...] = SDC_SCHEDULES,
-) -> SdcChaosCase:
-    """Derive a deterministic flip/bitrot schedule from ``seed``.
-
-    ``flip`` draws 1-2 probe rounds (each with 1-3 bits) over the run's
-    rounds; ``bitrot`` rots the *last* checkpoint written, so the
-    post-run restore attempt must refuse it.
-    """
-    unknown = set(schedules) - set(SDC_SCHEDULES)
-    if unknown:
-        raise ValueError(
-            f"unknown sdc chaos schedule(s) {sorted(unknown)}; "
-            f"known: {', '.join(SDC_SCHEDULES)}"
-        )
-    if tier not in INTEGRITY_TIERS or tier == "off":
-        raise ValueError(f"sdc chaos needs an active tier, not {tier!r}")
-    rng = np.random.default_rng(seed)
-    rounds = -(-steps // dim_t)
-    specs: list[str] = []
-    flip_rounds: list[int] = []
-    if "flip" in schedules:
-        n_probes = int(rng.integers(1, 3))
-        chosen = sorted(
-            int(r)
-            for r in rng.choice(rounds, size=min(n_probes, rounds),
-                                replace=False)
-        )
-        for rnd in chosen:
-            bits = int(rng.integers(1, 4))
-            specs.append(f"memory.flip=0:{rnd}:{bits}")
-            flip_rounds.append(rnd)
-    bitrot = False
-    saves = rounds - 1  # checkpoint_every=1 skips the final round
-    if "bitrot" in schedules and saves >= 1:
-        bitrot = True
-        at = saves - 1
-        specs.append("disk.bitrot" + (f"@{at}" if at else ""))
-    return SdcChaosCase(
-        seed=seed, grid=grid, steps=steps, dim_t=dim_t, tier=tier,
-        specs=specs, flip_rounds=flip_rounds, bitrot=bitrot,
-    )
-
-
-def run_sdc_case(case: SdcChaosCase) -> SdcChaosResult:
-    """One soak iteration: guarded 3.5D run under the schedule, judged on
-    *no silent corruption*.
-
-    ``ok`` requires: the run finishes (healed corruption is fine, that is
-    the point), the final grid is bit-identical to the fault-free naive
-    oracle, every flip probe-round was detected (at tier ``full`` this is
-    a hard requirement; lower tiers report their rate), and a rotted
-    checkpoint is refused at restore instead of silently trusted.
-    """
-    import shutil
-    import tempfile
-
-    from ..core.blocking35d import Blocking35D
-    from ..stencils.seven_point import SevenPointStencil
-    from .checkpoint import CheckpointError, CheckpointStore
-    from .report import RunReport
-    from .watchdog import GuardedSweep
-
-    kernel = SevenPointStencil()
-    fld = Field3D.random((case.grid,) * 3, dtype=np.float32, seed=case.seed)
-    ref = run_naive(kernel, fld, case.steps)
-
-    state_dir = tempfile.mkdtemp(prefix="repro-sdc-chaos-")
-    store = CheckpointStore(Path(state_dir) / "sdc-chaos.npz")
-    error = None
-    out = None
-    report = RunReport()
-    fired_before = len(FAULTS.fired)
-    t0 = time.perf_counter()
-    try:
-        ex = Blocking35D(
-            kernel, dim_t=case.dim_t, tile_y=case.grid, tile_x=case.grid
-        )
-        guard = GuardedSweep(
-            ex,
-            round_steps=case.dim_t,
-            sdc=case.tier,
-            sdc_seed=case.seed,
-            checkpoint=store,
-            checkpoint_every=1,
-            report=report,
-        )
-        try:
-            with FAULTS.injected(*case.specs):
-                out = guard.run(fld, case.steps)
-        except ResilienceError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        flips = [
-            detail
-            for site, detail in FAULTS.fired[fired_before:]
-            if site == "memory.flip"
-        ]
-        bitrot_detected: bool | None = None
-        if case.bitrot:
-            # the last snapshot written was rotted on disk; restoring it
-            # must fail loudly (digest/quarantine), never silently succeed
-            try:
-                snap = store.load()
-                bitrot_detected = snap is None  # quarantined, not trusted
-            except CheckpointError:
-                bitrot_detected = True
-    finally:
-        shutil.rmtree(state_dir, ignore_errors=True)
-    elapsed = time.perf_counter() - t0
-
-    sdc = report.sdc if report.sdc is not None else SdcReport(tier=case.tier)
-    bit_exact = out is not None and bool(np.array_equal(out.data, ref.data))
-    flip_rounds_fired = len(set(flips))
-    detected_all = sdc.detections >= flip_rounds_fired
-    ok = (
-        error is None
-        and bit_exact
-        and (case.tier != "full" or detected_all)
-        and (bitrot_detected is not False)
-    )
-    return SdcChaosResult(
-        case=case,
-        ok=ok,
-        bit_exact=bit_exact,
-        error=error,
-        flips_fired=len(flips),
-        flip_rounds_fired=flip_rounds_fired,
-        detections=sdc.detections,
-        heals=sdc.heals,
-        replayed_cells=sdc.replayed_cells,
-        checks=sdc.checks,
-        bitrot_detected=bitrot_detected if case.bitrot else None,
-        elapsed_s=elapsed,
-    )
-

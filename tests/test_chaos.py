@@ -8,7 +8,7 @@ import pytest
 from repro.obs import TRACE
 from repro.resilience import (
     FAULTS,
-    SCHEDULES,
+    TARGETS,
     make_case,
     run_case,
     write_bundle,
@@ -29,13 +29,14 @@ class TestMakeCase:
 
     def test_different_seeds_differ(self):
         cases = [make_case(s) for s in range(8)]
-        assert len({tuple(c.specs) + (c.loss, c.corruption) for c in cases}) > 1
+        assert len({tuple(c.specs) + (c.params["loss"], c.params["corruption"])
+                    for c in cases}) > 1
 
     def test_schedule_subset(self):
         case = make_case(0, schedules=("loss",))
         assert case.specs == []
-        assert case.loss > 0
-        assert case.corruption == 0.0
+        assert case.params["loss"] > 0
+        assert case.params["corruption"] == 0.0
 
     def test_crash_schedule_targets_valid_rank_and_round(self):
         for seed in range(12):
@@ -51,7 +52,7 @@ class TestMakeCase:
         assert case.specs == []
 
     def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos schedule"):
+        with pytest.raises(ValueError, match="unknown schedule"):
             make_case(0, schedules=("crash", "gamma-rays"))
 
     def test_describe_mentions_everything(self):
@@ -63,13 +64,13 @@ class TestRunCase:
     def test_green_case_is_bit_exact(self):
         result = run_case(make_case(0, grid=20, steps=4))
         assert result.ok and result.bit_exact and result.error is None
-        assert result.recoveries == 1  # seed 0 draws a crash
-        assert result.replayed_rounds <= 1
+        assert result.counts["recoveries"] == 1  # seed 0 draws a crash
+        assert result.counts["replayed_rounds"] <= 1
 
     def test_fault_free_case(self):
         case = make_case(0, schedules=())
         result = run_case(case)
-        assert result.ok and result.recoveries == 0
+        assert result.ok and result.counts["recoveries"] == 0
 
     def test_result_roundtrips_to_json(self):
         result = run_case(make_case(1, grid=16, steps=4))
@@ -84,8 +85,9 @@ class TestRunCase:
         assert all(r.ok for r in results)
         # seeds are independent: same seed re-run reproduces exactly
         again = run_case(make_case(0, grid=16, steps=4))
-        assert again.recoveries == results[0].recoveries
-        assert again.comm_dropped == results[0].comm_dropped
+        assert again.counts["recoveries"] == results[0].counts["recoveries"]
+        assert again.counts["comm_dropped"] == \
+            results[0].counts["comm_dropped"]
 
     def test_faults_disarmed_after_case(self):
         run_case(make_case(0, grid=16, steps=4))
@@ -110,4 +112,6 @@ class TestWriteBundle:
         assert (bundle / "case.json").exists()
 
     def test_schedules_constant_is_complete(self):
-        assert set(SCHEDULES) == {"crash", "loss", "corruption", "delay"}
+        assert set(TARGETS["distributed"].schedules) == {
+            "crash", "loss", "corruption", "delay"
+        }

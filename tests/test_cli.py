@@ -332,6 +332,23 @@ class TestDistributedCLI:
         assert rc == 2
         assert "--ranks" in capsys.readouterr().err
 
+    def test_edge_plane_flip_heals_with_exit_3(self, monkeypatch, capsys):
+        # one bit on plane 0 in a one-step round: the heal replays a
+        # one-plane edge band, widened to the 2R+1 planes a sweep needs
+        from repro.resilience import FAULTS
+
+        monkeypatch.setenv("REPRO_FAULTS", "memory.flip=0:0:1")
+        try:
+            rc = main(["run", "--kernel", "7pt", "--grid", "12", "--steps",
+                       "1", "--dim-t", "1", "--ranks", "2", "--verify",
+                       "seal", "--seed", "11"])
+        finally:
+            FAULTS.disarm()
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "check        : bit-identical" in out
+        assert "sdc healed" in out
+
     def test_ranks_metrics_include_comm(self, tmp_path, capsys):
         import json
 

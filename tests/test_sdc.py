@@ -25,7 +25,7 @@ from repro.resilience import (
     RunReport,
     SweepInterruptedError,
 )
-from repro.resilience.chaos import write_bundle
+from repro.resilience.chaos import make_case, run_case, write_bundle
 from repro.resilience.quarantine import gc_corrupt, quarantine
 from repro.resilience.rankrecovery import (
     BuddySnapshot,
@@ -41,10 +41,8 @@ from repro.resilience.sdc import (
     SdcUnhealableError,
     flip_bits,
     inject_flips,
-    make_sdc_case,
     plane_crcs,
     rot_file,
-    run_sdc_case,
 )
 from repro.obs.serving import prometheus_exposition
 from repro.serve import JobSpec, ServeCore
@@ -422,35 +420,36 @@ class TestQuarantineGC:
 
 class TestSdcChaos:
     def test_case_derivation_is_deterministic(self):
-        a = make_sdc_case(7)
-        b = make_sdc_case(7)
+        a = make_case(7, "sdc")
+        b = make_case(7, "sdc")
         assert a == b
         assert a.specs and all(
             s.startswith(("memory.flip", "disk.bitrot")) for s in a.specs
         )
         with pytest.raises(ValueError, match="active tier"):
-            make_sdc_case(0, tier="off")
-        with pytest.raises(ValueError, match="unknown sdc chaos"):
-            make_sdc_case(0, schedules=("gamma-ray",))
+            make_case(0, "sdc", tier="off")
+        with pytest.raises(ValueError, match="unknown schedule"):
+            make_case(0, "sdc", schedules=("gamma-ray",))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_soak_seeds_no_silent_corruption(self, seed):
-        result = run_sdc_case(
-            make_sdc_case(seed, grid=14, steps=6, dim_t=2)
+        result = run_case(
+            make_case(seed, "sdc", grid=14, steps=6, dim_t=2)
         )
+        n = result.counts
         assert result.ok, (
             f"seed {seed}: {result.error or 'silent corruption'} "
-            f"({result.detections}/{result.flip_rounds_fired} detected)"
+            f"({n['detections']}/{n['flip_rounds_fired']} detected)"
         )
         assert result.bit_exact
-        if result.flips_fired:
-            assert result.detections >= result.flip_rounds_fired
-        if result.case.bitrot:
-            assert result.bitrot_detected
+        if n["flips_fired"]:
+            assert n["detections"] >= n["flip_rounds_fired"]
+        if result.case.params["bitrot"]:
+            assert n["bitrot_detected"]
 
     def test_bundle_written_for_failures(self, tmp_path):
-        result = run_sdc_case(make_sdc_case(1, grid=12, steps=4, dim_t=2))
-        bundle = write_bundle(result, tmp_path, "sdc-seed")
+        result = run_case(make_case(1, "sdc", grid=12, steps=4, dim_t=2))
+        bundle = write_bundle(result, tmp_path)
         assert bundle == tmp_path / "sdc-seed-1"
         assert (bundle / "case.json").exists()
         assert (bundle / "faults.txt").read_text().strip() == \
@@ -480,18 +479,45 @@ class TestDistributedIntegrity:
         # survive to the halo exchange: the cross-rank checksum handshake
         # must still refuse to consume them (defense in depth; healing
         # needs the seals, so refusal is the contract here)
-        class HandshakeOnly(DistributedJacobi):
-            def _sdc_verify(self, *args, **kwargs):
-                return None
-
-        dj = HandshakeOnly(
+        dj = DistributedJacobi(
             seven_point, 4, dim_t=2, integrity="seal", sdc_seed=0,
             overlap=overlap,
         )
+        dj.sdc.verify_seals = lambda state, *args: state
         field = Field3D.random((16, 16, 16), dtype=np.float64, seed=2)
         with FAULTS.injected("memory.flip=1:0:64"):
             with pytest.raises(SdcError):
                 dj.run(field, 8)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("spec,seed", [
+        ("memory.flip=0:0:1", 11),  # lands on plane 0
+        ("memory.flip=1:0:1", 3),   # lands on plane 11
+    ])
+    def test_edge_plane_flip_in_one_step_round_heals(
+        self, seven_point, spec, seed, overlap
+    ):
+        # a one-step round replays a one-plane edge band: the heal must
+        # widen it to the 2R+1 planes the smallest sweep needs
+        field = Field3D.random((12, 12, 12), dtype=np.float32, seed=seed)
+        oracle = run_naive(seven_point, field, 1)
+        dj = DistributedJacobi(
+            seven_point, 2, dim_t=1, integrity="seal", sdc_seed=seed,
+            overlap=overlap,
+        )
+        with FAULTS.injected(spec):
+            out, _ = dj.run(Field3D(field.data.copy()), 1)
+        assert dj.sdc_report.heals >= 1
+        assert_fields_equal(out, oracle)
+
+    def test_unhealable_without_trusted_base(self, seven_point):
+        # one rank keeps no buddy snapshot: a detection cannot heal
+        dj = DistributedJacobi(seven_point, 1, dim_t=2, integrity="seal")
+        field = Field3D.random((16, 16, 16), dtype=np.float64, seed=3)
+        with FAULTS.injected("memory.flip=0:1:1"):
+            with pytest.raises(SdcUnhealableError, match="trusted base"):
+                dj.run(field, 8)
+        assert dj.sdc_report.unhealable == 1
 
     def test_unhealable_when_budget_exhausted(self, seven_point):
         dj = DistributedJacobi(

@@ -441,20 +441,20 @@ class TestWireProtocol:
 
 class TestServeChaos:
     def test_quick_soak_two_seeds(self):
-        from repro.serve.chaos import make_serve_case, run_serve_case
+        from repro.resilience.chaos import make_case, run_case
 
         results = [
-            run_serve_case(make_serve_case(seed, jobs=8, grid=10, steps=4))
+            run_case(make_case(seed, "serve", jobs=8, grid=10, steps=4))
             for seed in range(2)
         ]
         for r in results:
             assert r.ok, (
                 f"seed {r.case.seed}: {r.error}, "
-                f"{r.hash_mismatches} mismatches, "
-                f"{r.non_terminal} non-terminal"
+                f"{r.counts['hash_mismatches']} mismatches, "
+                f"{r.counts['non_terminal']} non-terminal"
             )
         # the seed range must actually exercise kill/recovery
-        assert any(r.recovered > 0 for r in results)
+        assert any(r.counts["recovered"] > 0 for r in results)
 
 
 class TestGuardedSweepStop:
