@@ -478,6 +478,43 @@ def _metrics_validation(args, ref_kernel, field, traffic, elapsed):
     )
 
 
+#: lower bounds of the integer ``run`` flags
+_RUN_FLAG_MINIMA = (
+    ("grid", 1), ("steps", 0), ("dim_t", 1), ("tile", 1), ("threads", 1),
+    ("ranks", 1), ("retries", 0), ("checkpoint_every", 1),
+)
+
+
+def _run_flag_error(args) -> str | None:
+    """Why an integer ``run`` flag is out of range, or None."""
+    for name, low in _RUN_FLAG_MINIMA:
+        value = getattr(args, name)
+        if value < low:
+            return f"--{name.replace('_', '-')} must be >= {low}, got {value}"
+    return None
+
+
+def _run_geometry_error(args, radius: int) -> str | None:
+    """Why the grid or tile cannot be swept by ``args.scheme``, or None.
+
+    Checked before the sweep starts, so a ``ValueError`` the sweep itself
+    raises still reports a program fault rather than a usage error.
+    """
+    from repro.core.regions import axis_tiles
+
+    if args.grid <= 2 * radius:
+        return f"--grid {args.grid} has no interior for a radius-{radius} stencil"
+    if args.scheme in ("naive", "cache-oblivious"):
+        return None
+    # the deepest round the scheme runs needs the widest ghost halo
+    round_t = 1 if args.scheme in ("2.5d", "3d") else min(args.dim_t, max(args.steps, 1))
+    try:
+        axis_tiles(args.grid, radius, round_t, args.tile)
+    except ValueError as exc:
+        return f"bad --tile: {exc}"
+    return None
+
+
 class _FnExecutor:
     """Adapter giving function-style schemes the executor ``run`` shape."""
 
@@ -526,8 +563,13 @@ def _cmd_run(args) -> int:
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 2
-
-    ref_kernel, lattice, dtype = _make_kernel(args.kernel, args.grid, args.precision)
+    error = _run_flag_error(args)
+    if error is None:
+        ref_kernel, lattice, dtype = _make_kernel(args.kernel, args.grid, args.precision)
+        error = _run_geometry_error(args, ref_kernel.radius)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if lattice is not None:
         field = lattice.f
     else:
@@ -1382,7 +1424,8 @@ def _cmd_info() -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # honor $REPRO_FAULTS (documented by `repro faults`): chaos smokes arm
-    # fault sites from the environment without touching the command line
+    # fault sites from the environment without touching the command line;
+    # a value already armed at import is not armed again
     from repro.resilience import FAULTS
 
     FAULTS.load_env()

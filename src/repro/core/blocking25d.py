@@ -6,137 +6,29 @@ can be much larger than a 3D block's side — the ghost-layer overestimation
 drops from :math:`((1-2R/d)^3)^{-1}` to :math:`((1-2R/d_x)(1-2R/d_y))^{-1}`
 with a much larger ``d``.  There is *no* ghost traffic in Z at all.
 
-The implementation is the paper's two-phase flow, per XY sub-plane:
-
-* **Phase 1 (prolog)** — load the sub-planes for ``z = 0 .. 2R`` into the
-  ring ``Buffer[0 .. 2R]``.
-* **Phase 2** — for each ``z`` in ``[R, Nz - R)``: (a) load the sub-plane for
-  ``z + R`` into ``Buffer[(z+R) % (2R+1)]``; (b) run the stencil on the
-  sub-plane in ``Buffer[z % (2R+1)]`` and store the result to external
-  memory.
-
-This is also exactly the 3.5D algorithm at ``dim_T = 1`` with the sequential
-(2R+1 slot) ring — a property the test suite checks.
+The paper's two-phase flow, per XY sub-plane — (1) a prolog that loads the
+sub-planes ``z = 0 .. 2R`` into the ring, then (2) for each ``z`` load plane
+``z + R`` and compute plane ``z`` straight to external memory — is exactly
+the 3.5D schedule at ``dim_T = 1`` with the sequential (2R+1 slot) ring, so
+this executor *is* :class:`~repro.core.blocking35d.Blocking35D` with those
+parameters and shares its tile loop, caches and fused-sweep path.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..obs.trace import TRACE
 from ..stencils.base import PlaneKernel
-from ..stencils.grid import Field3D, copy_shell
-from .buffer import PlaneRing
-from .regions import plan_tiles_2d
+from ..stencils.grid import Field3D
+from .blocking35d import Blocking35D
 from .traffic import TrafficStats
 
 __all__ = ["Blocking25D", "run_2_5d"]
 
 
-class Blocking25D:
+class Blocking25D(Blocking35D):
     """2.5D spatial blocking executor (one time step per grid sweep)."""
 
     def __init__(self, kernel: PlaneKernel, tile_y: int, tile_x: int) -> None:
-        self.kernel = kernel
-        self.tile_y = tile_y
-        self.tile_x = tile_x
-        self._rings: dict = {}
-        self._tile_plans: dict = {}
-
-    def clear_cache(self) -> None:
-        """Drop cached rings and tile plans (frees their buffers)."""
-        self._rings.clear()
-        self._tile_plans.clear()
-
-    def _plan_tiles(self, ny: int, nx: int):
-        key = (ny, nx)
-        plan = self._tile_plans.get(key)
-        if plan is None:
-            plan = plan_tiles_2d(
-                ny, nx, self.kernel.radius, 1, self.tile_y, self.tile_x
-            )
-            self._tile_plans[key] = plan
-        return plan
-
-    def _ring(self, tile, ncomp: int, dtype) -> PlaneRing:
-        r = self.kernel.radius
-        (ey0, ey1), (ex0, ex1) = tile.y.extent, tile.x.extent
-        key = (ey1 - ey0, ex1 - ex0, ncomp, np.dtype(dtype))
-        ring = self._rings.get(key)
-        if ring is None:
-            ring = PlaneRing(2 * r + 1, ncomp, ey1 - ey0, ex1 - ex0, dtype)
-            self._rings[key] = ring
-        else:
-            ring.reset()
-        return ring
-
-    def run(
-        self,
-        field: Field3D,
-        steps: int,
-        traffic: TrafficStats | None = None,
-    ) -> Field3D:
-        """Advance ``field`` by ``steps`` time steps; input is untouched."""
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        if steps == 0:
-            return field.copy()
-        src = field.copy()
-        dst = field.like()
-        copy_shell(src, dst, self.kernel.radius)
-        with TRACE.span("sweep", executor="blocking25d", steps=steps):
-            for i in range(steps):
-                with TRACE.span("round", index=i, round_t=1):
-                    self.sweep(src, dst, traffic)
-                src, dst = dst, src
-        return src
-
-    def sweep(
-        self,
-        src: Field3D,
-        dst: Field3D,
-        traffic: TrafficStats | None = None,
-    ) -> None:
-        """One Jacobi time step using 2.5D blocked streaming."""
-        kernel = self.kernel
-        r = kernel.radius
-        nz, ny, nx = src.shape
-        esize = src.element_size()
-        # dim_t=1 tiling: halo R on cut edges only.
-        for tile in self._plan_tiles(ny, nx):
-            (ey0, ey1), (ex0, ex1) = tile.y.extent, tile.x.extent
-            (cy0, cy1), (cx0, cx1) = tile.y.core, tile.x.core
-            extent_area = (ey1 - ey0) * (ex1 - ex0)
-            ring = self._ring(tile, src.ncomp, src.dtype)
-
-            def load(z: int, ring: PlaneRing = ring) -> None:
-                np.copyto(ring.slot_for(z), src.data[:, z, ey0:ey1, ex0:ex1])
-                if traffic is not None:
-                    traffic.read(extent_area * esize, planes=1)
-
-            def z_iter(z: int) -> None:
-                load(z + r)
-                srcs = [ring.get(z + dz) for dz in range(-r, r + 1)]
-                out = dst.data[:, z, ey0:ey1, ex0:ex1]
-                kernel.compute_plane(out, srcs, yr, xr, gz=z, gy0=ey0, gx0=ex0)
-                if traffic is not None:
-                    traffic.write((cy1 - cy0) * (cx1 - cx0) * esize, planes=1)
-                    traffic.update((cy1 - cy0) * (cx1 - cx0), kernel.ops_per_update)
-
-            yr = (cy0 - ey0, cy1 - ey0)
-            xr = (cx0 - ex0, cx1 - ex0)
-            if TRACE.armed:
-                with TRACE.span("tile", y0=cy0, y1=cy1, x0=cx0, x1=cx1):
-                    for z in range(2 * r):  # Phase 1: prolog — planes [0, 2R)
-                        load(z)
-                    for z in range(r, nz - r):  # Phase 2: stream through z
-                        with TRACE.span("z_iter", k=z):
-                            z_iter(z)
-            else:
-                for z in range(2 * r):  # Phase 1: prolog — planes [0, 2R)
-                    load(z)
-                for z in range(r, nz - r):  # Phase 2: stream through z
-                    z_iter(z)
+        super().__init__(kernel, 1, tile_y, tile_x, concurrent=False)
 
 
 def run_2_5d(

@@ -25,9 +25,11 @@ tiles that touch the grid edge) are constant in time; they are loaded once
 per tile into persistent side buffers and served from there at every time
 instance.
 
-Executed single-threaded here; :mod:`repro.runtime.parallel35d` runs the same
-schedule with each plane partitioned row-wise across a thread pool, which is
-the paper's TLP scheme (Section V-D, option 2).
+Executed single-threaded here; :mod:`repro.runtime.parallel35d` subclasses
+this executor and runs the same rounds, tiles and schedule with each plane
+partitioned row-wise across a thread pool, which is the paper's TLP scheme
+(Section V-D, option 2).  2.5D blocking is this executor at ``dim_T = 1``
+with the sequential ring (:mod:`repro.core.blocking25d`).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from ..obs.trace import TRACE
 from ..stencils.base import PlaneKernel
-from ..stencils.grid import Field3D, copy_shell, interior_points
+from ..stencils.grid import Field3D, copy_shell
 from .buffer import RingSet
 from .regions import Tile2D, compute_range, plan_tiles_2d
 from .schedule import Schedule, StepKind, build_schedule
@@ -130,6 +132,10 @@ class Blocking35D:
         Validate the schedule's dependency/liveness invariants up front.
     """
 
+    #: whole-sweep codegen runners compile a threaded (``prange``) tile loop
+    #: for executors that set this (the row-partitioned subclass does)
+    parallel = False
+
     def __init__(
         self,
         kernel: PlaneKernel,
@@ -201,8 +207,10 @@ class Blocking35D:
         # One shell token per run: the boundary shell is constant in time, so
         # cached shell planes are filled on the first round and reused after.
         token = object()
-        with TRACE.span("sweep", executor="blocking35d", steps=steps,
-                        dim_t=self.dim_t):
+        # spans name the executor after its module: blocking35d, blocking25d
+        # or parallel35d
+        with TRACE.span("sweep", executor=type(self).__module__.rpartition(".")[2],
+                        steps=steps, dim_t=self.dim_t):
             remaining = steps
             round_index = 0
             while remaining > 0:
@@ -246,24 +254,14 @@ class Blocking35D:
         # every z-iteration — with one generated-kernel call per round.
         sweep_runner = getattr(self.kernel, "sweep_runner", None)
         if sweep_runner is not None:
-            runner = sweep_runner(self, src, dst, round_t)
+            runner = sweep_runner(self, src, dst, round_t, parallel=self.parallel)
             if runner is not None:
-                if TRACE.armed:
-                    with TRACE.span("codegen_round", tiles=len(tiles),
-                                    round_t=round_t):
-                        runner.run(token, traffic)
-                else:
+                with TRACE.span("codegen_round", tiles=len(tiles), round_t=round_t):
                     runner.run(token, traffic)
                 return
-        if TRACE.armed:
-            for tile in tiles:
-                with TRACE.span("tile", y0=tile.y.core[0], y1=tile.y.core[1],
-                                x0=tile.x.core[0], x1=tile.x.core[1]):
-                    ctx = self._tile_context(src, tile, round_t)
-                    self._load_shell_planes(src, ctx, traffic, token)
-                    self._run_schedule(src, dst, ctx, schedule, round_t, traffic)
-        else:
-            for tile in tiles:
+        for tile in tiles:
+            with TRACE.span("tile", y0=tile.y.core[0], y1=tile.y.core[1],
+                            x0=tile.x.core[0], x1=tile.x.core[1]):
                 ctx = self._tile_context(src, tile, round_t)
                 self._load_shell_planes(src, ctx, traffic, token)
                 self._run_schedule(src, dst, ctx, schedule, round_t, traffic)
@@ -448,6 +446,29 @@ class Blocking35D:
         if not empty and traffic is not None:
             traffic.update((gy1 - gy0) * (gx1 - gx0), kernel.ops_per_update)
 
+    def _z_iterations(self, src, dst, ctx, schedule, round_t):
+        """One tile's z-iterations in order, whether they run fused, and
+        ``work(k, rows, traffic)`` running iteration ``k`` on global rows
+        ``rows`` (``None`` = all).  A fused-sweep backend (repro.perf.fused)
+        runs a whole iteration per call instead of one call per step.
+        """
+        tile_runner = getattr(self.kernel, "tile_runner", None)
+        if tile_runner is not None:
+            runner = tile_runner(self, src, dst, ctx, schedule, round_t)
+
+            def work(k, rows, traffic):
+                runner.run_iteration(k, rows=rows, traffic=traffic)
+
+            return runner.iteration_keys, True, work
+        regions = self.instance_regions(ctx, src.shape, round_t)
+        iterations = schedule.iterations()
+
+        def work(k, rows, traffic):
+            for step in iterations[k]:
+                self.execute_step(src, dst, ctx, step, regions, traffic, rows=rows)
+
+        return sorted(iterations), False, work
+
     def _run_schedule(
         self,
         src: Field3D,
@@ -457,33 +478,14 @@ class Blocking35D:
         round_t: int,
         traffic: TrafficStats | None,
     ) -> None:
-        # Fused-sweep backends (repro.perf.fused) supply a per-tile runner
-        # that executes each z-iteration — all round_t updates plus the
-        # load/store seam planes — in one call, instead of one Python-level
-        # kernel invocation per schedule step.
-        tile_runner = getattr(self.kernel, "tile_runner", None)
-        if tile_runner is not None:
-            runner = tile_runner(self, src, dst, ctx, schedule, round_t)
-            if TRACE.armed:
-                for k in runner.iteration_keys:
-                    with TRACE.span("z_iter", k=k, fused=True):
-                        runner.run_iteration(k, traffic=traffic)
-            else:
-                for k in runner.iteration_keys:
-                    runner.run_iteration(k, traffic=traffic)
-            return
-        regions = self.instance_regions(ctx, src.shape, round_t)
+        keys, fused, work = self._z_iterations(src, dst, ctx, schedule, round_t)
         if TRACE.armed:
-            # the flat step order equals the per-iteration grouping (steps
-            # are generated k-outer/t-inner), so spanning by iteration does
-            # not reorder execution
-            for k, iter_steps in schedule.iterations().items():
-                with TRACE.span("z_iter", k=k, fused=False):
-                    for step in iter_steps:
-                        self.execute_step(src, dst, ctx, step, regions, traffic)
+            for k in keys:
+                with TRACE.span("z_iter", k=k, fused=fused):
+                    work(k, None, traffic)
         else:
-            for step in schedule.steps:
-                self.execute_step(src, dst, ctx, step, regions, traffic)
+            for k in keys:
+                work(k, None, traffic)
 
     def _fill_xy_strips(
         self,

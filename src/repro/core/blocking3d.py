@@ -6,75 +6,28 @@ to its interior.  One time step per sweep.  The ghost layers are re-loaded by
 every neighboring block, which is the 3D overestimation
 :math:`\\kappa^{3D} = ((1-2R/d_x)(1-2R/d_y)(1-2R/d_z))^{-1}` the paper uses
 to motivate 2.5D blocking.
+
+That is 4D blocking at ``dim_T = 1``, so this executor *is*
+:class:`~repro.core.blocking4d.Blocking4D` with one step per round.
 """
 
 from __future__ import annotations
 
-from ..stencils.base import PlaneKernel, ScratchArena
-from ..stencils.grid import Field3D, copy_shell
-from .regions import axis_tiles
-from .temporal import advance_tile_trapezoid
+from ..stencils.base import PlaneKernel
+from ..stencils.grid import Field3D
+from .blocking4d import Blocking4D
 from .traffic import TrafficStats
 
 __all__ = ["Blocking3D", "run_3d"]
 
 
-class Blocking3D:
+class Blocking3D(Blocking4D):
     """3D spatial blocking executor (one time step per grid sweep)."""
 
     def __init__(
         self, kernel: PlaneKernel, tile_z: int, tile_y: int, tile_x: int
     ) -> None:
-        self.kernel = kernel
-        self.tile_z = tile_z
-        self.tile_y = tile_y
-        self.tile_x = tile_x
-        self.scratch = ScratchArena()
-
-    def clear_cache(self) -> None:
-        """Drop the trapezoid scratch buffers."""
-        self.scratch.clear()
-
-    def run(
-        self,
-        field: Field3D,
-        steps: int,
-        traffic: TrafficStats | None = None,
-    ) -> Field3D:
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        if steps == 0:
-            return field.copy()
-        src = field.copy()
-        dst = field.like()
-        copy_shell(src, dst, self.kernel.radius)
-        for _ in range(steps):
-            self.sweep(src, dst, traffic)
-            src, dst = dst, src
-        return src
-
-    def sweep(
-        self,
-        src: Field3D,
-        dst: Field3D,
-        traffic: TrafficStats | None = None,
-    ) -> None:
-        """One Jacobi step as a sweep of overlapping 3D blocks."""
-        r = self.kernel.radius
-        nz, ny, nx = src.shape
-        # dim_t=1: each block's core shrinks by one ghost layer per cut side.
-        for tz in axis_tiles(nz, r, 1, self.tile_z):
-            for ty in axis_tiles(ny, r, 1, self.tile_y):
-                for tx in axis_tiles(nx, r, 1, self.tile_x):
-                    advance_tile_trapezoid(
-                        self.kernel,
-                        src,
-                        dst,
-                        (tz.core, ty.core, tx.core),
-                        1,
-                        traffic,
-                        scratch=self.scratch,
-                    )
+        super().__init__(kernel, 1, tile_z, tile_y, tile_x)
 
 
 def run_3d(

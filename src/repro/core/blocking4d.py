@@ -57,8 +57,9 @@ class Blocking4D:
         src = field.copy()
         dst = field.like()
         copy_shell(src, dst, self.kernel.radius)
-        with TRACE.span("sweep", executor="blocking4d", steps=steps,
-                        dim_t=self.dim_t):
+        # named after the module: blocking4d, or blocking3d for the subclass
+        with TRACE.span("sweep", executor=type(self).__module__.rpartition(".")[2],
+                        steps=steps, dim_t=self.dim_t):
             remaining = steps
             round_index = 0
             while remaining > 0:
@@ -83,22 +84,13 @@ class Blocking4D:
         if traffic is not None:
             traffic.notes.setdefault("dim_t", self.dim_t)
             traffic.notes.setdefault("round_t", []).append(round_t)
-        armed = TRACE.armed
         for tz in axis_tiles(nz, r, round_t, self.tile_z):
             for ty in axis_tiles(ny, r, round_t, self.tile_y):
                 for tx in axis_tiles(nx, r, round_t, self.tile_x):
-                    if armed:
-                        with TRACE.span("tile", z0=tz.core[0], y0=ty.core[0],
-                                        x0=tx.core[0]):
-                            advance_tile_trapezoid(
-                                self.kernel, src, dst,
-                                (tz.core, ty.core, tx.core),
-                                round_t, traffic, scratch=self.scratch,
-                            )
-                    else:
+                    with TRACE.span("tile", z0=tz.core[0], y0=ty.core[0],
+                                    x0=tx.core[0]):
                         advance_tile_trapezoid(
-                            self.kernel, src, dst,
-                            (tz.core, ty.core, tx.core),
+                            self.kernel, src, dst, (tz.core, ty.core, tx.core),
                             round_t, traffic, scratch=self.scratch,
                         )
 

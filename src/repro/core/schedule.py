@@ -23,7 +23,9 @@ can inspect, validate, and visualize the exact step order of Figure 3(a).
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 __all__ = ["StepKind", "Step", "Schedule", "build_schedule", "lag_for"]
 
@@ -70,11 +72,20 @@ class Schedule:
     def lag(self) -> int:
         return lag_for(self.radius, self.concurrent)
 
-    def iterations(self) -> dict[int, list[Step]]:
-        """Steps grouped by z-iteration (the unit between barriers)."""
-        out: dict[int, list[Step]] = {}
-        for s in self.steps:
-            out.setdefault(s.iteration, []).append(s)
+    def iterations(self) -> Mapping[int, tuple[Step, ...]]:
+        """Steps grouped by z-iteration (the unit between barriers).
+
+        Built on the first call and shared, read-only, after it: executors
+        group once per cached schedule, not once per tile.
+        """
+        out = self.__dict__.get("_iterations")
+        if out is None:
+            groups: dict[int, list[Step]] = {}
+            for s in self.steps:
+                groups.setdefault(s.iteration, []).append(s)
+            out = self.__dict__["_iterations"] = MappingProxyType(
+                {k: tuple(v) for k, v in groups.items()}
+            )
         return out
 
     def validate(self) -> None:

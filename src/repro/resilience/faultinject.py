@@ -171,6 +171,8 @@ class FaultInjector:
         self._specs: list[FaultSpec] = []
         self._lock = threading.Lock()
         self.fired: list[tuple[str, str | None]] = []
+        #: the ``$REPRO_FAULTS`` value last armed from the process environment
+        self._env_value: str | None = None
 
     # -- arming --------------------------------------------------------
     def arm(self, *specs: FaultSpec | str) -> None:
@@ -186,11 +188,24 @@ class FaultInjector:
         with self._lock:
             self._specs = []
             self.fired = []
+            self._env_value = None
 
     def load_env(self, environ=None) -> int:
-        """Arm the specs in ``$REPRO_FAULTS`` (comma-separated); returns count."""
-        environ = os.environ if environ is None else environ
-        raw = environ.get(REPRO_FAULTS_ENV, "")
+        """Arm the specs in ``$REPRO_FAULTS`` (comma-separated); returns count.
+
+        The process environment arms each value once: the import-time load
+        and the CLI's own load see the same value, and the second adds
+        nothing, so no spec's budget is doubled.  An explicit ``environ``
+        mapping always arms.
+        """
+        if environ is None:
+            raw = os.environ.get(REPRO_FAULTS_ENV, "")
+            with self._lock:
+                if raw == self._env_value:
+                    return 0
+                self._env_value = raw
+        else:
+            raw = environ.get(REPRO_FAULTS_ENV, "")
         specs = [s for s in (part.strip() for part in raw.split(",")) if s]
         if specs:
             self.arm(*specs)

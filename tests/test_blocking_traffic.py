@@ -13,6 +13,7 @@ from repro.core import (
     run_4d,
     run_naive,
 )
+from repro.runtime import ParallelBlocking35D
 from repro.stencils import Field3D, SevenPointStencil, interior_points
 
 
@@ -119,3 +120,40 @@ class TestSchemeTrafficOrdering:
         run_3_5d(seven, f, 2, 1, 15, 15, concurrent=False, traffic=t35)
         assert t25.updates == t35.updates
         assert t25.bytes_written == t35.bytes_written
+
+
+class TestPinnedCounters:
+    """Exact counters of every blocking family on one 24x48^2 7pt grid.
+
+    2.5D and 3D run as 3.5D and 4D at dim_T=1, and the threaded executor
+    shares the serial round and tile loop; these literals were recorded
+    from the separate per-scheme loops those replaced, so any drift in
+    ghost loads, shell reloads or per-thread accounting shows here.
+    """
+
+    FIELD = Field3D.random((24, 48, 48), dtype=np.float32, seed=7)
+    # (bytes_read, bytes_written, updates, ops, plane_loads, plane_stores)
+    CASES = {
+        "2.5d": (lambda k, f, t: run_2_5d(k, f, 4, 16, 16, traffic=t),
+                 (1119744, 744832, 186208, 2979328, 1536, 1408)),
+        "3d": (lambda k, f, t: run_3d(k, f, 4, 12, 16, 16, traffic=t),
+               (1306368, 744832, 186208, 2979328, 1792, 1408)),
+        "4d": (lambda k, f, t: run_4d(k, f, 4, 2, 12, 16, 16, traffic=t),
+               (921600, 372416, 233712, 3739392, 1024, 704)),
+        "3.5d": (lambda k, f, t: Blocking35D(k, 2, 16, 16).run(f, 4, t),
+                 (691200, 372416, 212080, 3393280, 768, 704)),
+        # row-split ring loads count bytes but no whole planes, and every
+        # thread stores its slice of each plane
+        "3.5d-2threads": (
+            lambda k, f, t: ParallelBlocking35D(k, 2, 16, 16, 2).run(f, 4, t),
+            (691200, 372416, 212080, 3393280, 64, 1408)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_counters(self, seven, case):
+        run, want = self.CASES[case]
+        t = TrafficStats()
+        out = run(seven, self.FIELD, t)
+        assert (t.bytes_read, t.bytes_written, t.updates, t.ops,
+                t.plane_loads, t.plane_stores) == want
+        assert np.array_equal(out.data, run_naive(seven, self.FIELD, 4).data)

@@ -65,6 +65,79 @@ class TestRunCommand:
         assert "MB" in out
 
 
+class TestBlockingFamilies:
+    """Every blocked scheme, on each numpy rung, is one shared loop.
+
+    2.5D runs as 3.5D at dim_T=1 (so it takes the fused tile path on the
+    fused rung), 3D as 4D at dim_T=1, and the threaded executor reuses the
+    serial round loop; the trace's sweep span names the executor.
+    """
+
+    EXECUTOR = {"2.5d": "blocking25d", "3d": "blocking3d",
+                "4d": "blocking4d", "3.5d": "blocking35d"}
+
+    @pytest.mark.parametrize("backend", ["numpy", "fused-numpy"])
+    @pytest.mark.parametrize(
+        "scheme,threads",
+        [("2.5d", 1), ("3d", 1), ("4d", 1), ("3.5d", 1), ("3.5d", 2)],
+    )
+    def test_bit_identical_through_shared_loop(
+        self, scheme, threads, backend, tmp_path, capsys
+    ):
+        import json
+
+        tr = str(tmp_path / "trace.json")
+        rc = main(["run", "--grid", "16", "--steps", "3", "--dim-t", "2",
+                   "--tile", "8", "--scheme", scheme, "--backend", backend,
+                   "--threads", str(threads), "--no-fallback", "--trace", tr])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "check        : bit-identical to the naive reference" in out
+        spans = [e for e in json.loads(open(tr).read())["traceEvents"]
+                 if e["ph"] == "X"]
+        # the guarded driver runs the executor once per round
+        want = "parallel35d" if threads > 1 else self.EXECUTOR[scheme]
+        dim_t = 1 if scheme in ("2.5d", "3d") else 2
+        sweeps = {(e["args"]["executor"], e["args"]["dim_t"])
+                  for e in spans if e["name"] == "sweep"}
+        assert sweeps == {(want, dim_t)}
+        rounds = [e for e in spans if e["name"] == "round"]
+        assert len(rounds) == -(-3 // dim_t)
+        if scheme in ("2.5d", "3.5d"):
+            fused = {e["args"]["fused"] for e in spans if e["name"] == "z_iter"}
+            assert fused == {backend == "fused-numpy"}
+
+
+_USAGE_ERRORS = [
+    ["--dim-t", "0"],
+    ["--steps", "-1"],
+    ["--retries", "-1"],
+    ["--tile", "2"],
+    ["--grid", "2"],
+    ["--checkpoint-every", "0", "--checkpoint", "CK"],
+    ["--scheme", "2.5d", "--tile", "2"],
+    ["--ranks", "2", "--dim-t", "0"],
+    ["--threads", "0"],
+    ["--threads", "-3"],
+]
+
+
+class TestRunUsageErrors:
+    """Out-of-range flags are usage errors (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize(
+        "extra", _USAGE_ERRORS, ids=["".join(a) for a in _USAGE_ERRORS]
+    )
+    def test_exits_2_with_error_line(self, extra, tmp_path, capsys):
+        extra = [str(tmp_path / "ck.npz") if a == "CK" else a for a in extra]
+        rc = main(["run", "--grid", "16", "--steps", "2"] + extra)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "ck.npz").exists()
+
+
 class TestTuneCommand:
     def test_paper_config_7pt(self, capsys):
         rc = main(["tune", "--kernel", "7pt", "--machine", "corei7"])
@@ -374,6 +447,21 @@ class TestFaultsCommand:
     def test_list_flag_optional(self, capsys):
         assert main(["faults"]) == 0
         assert "rank.crash" in capsys.readouterr().out
+
+    def test_env_specs_are_armed_once(self, monkeypatch, capsys):
+        """A shell-launched run loads $REPRO_FAULTS at import and again in
+        ``main``; the spec must still fire exactly its budget."""
+        from repro.resilience import FAULTS
+
+        monkeypatch.setenv("REPRO_FAULTS", "memory.flip=0:0:1")
+        FAULTS.disarm()
+        try:
+            FAULTS.load_env()  # the import-time load
+            assert main(["faults"]) == 0
+            assert FAULTS.should("memory.flip", "0:0")
+            assert not FAULTS.armed("memory.flip")
+        finally:
+            FAULTS.disarm()
 
 
 class TestChaosCommand:
